@@ -33,17 +33,6 @@
 // self-contained repro to --repro-out, optionally re-runs it into a Chrome
 // trace (--trace-on-divergence), and exits 1. A sweep whose only failures
 // are quarantined aborts exits 2 with a partial-results summary.
-//
-// --par N appends a parallel-engine re-check after a clean sweep: every
-// pass-0 cell re-runs observer-free, once sequentially and once with the
-// conservative parallel engine requested at N logical processes, and the
-// two final-state digests (snap::digest) must match bit-for-bit. Fuzz
-// schedules share lines across the whole die, so most flat-mode cells are
-// expected to trip the partition affinity guard (AffinityFault) — the
-// harness then rebuilds sequentially, exactly as a caller must, and the
-// digest still has to match. A digest mismatch is a divergence: it is
-// localized with the same snapshot-bisection machinery
-// (locate_divergence), written to --repro-out, and exits 1.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -61,9 +50,6 @@
 #include "exec/experiment.hpp"
 #include "exec/progress.hpp"
 #include "exec/seed.hpp"
-#include "sim/affinity.hpp"
-#include "sim/machine.hpp"
-#include "snap/snapshot.hpp"
 
 using namespace capmem;
 using namespace capmem::sim;
@@ -121,62 +107,6 @@ struct Quarantine {
   std::string report;
 };
 
-// One --par re-check cell: sequential vs parallel-engine digest.
-struct ParCheck {
-  bool match = false;
-  bool engaged = false;        ///< the parallel engine ran the schedule
-  bool affinity_fault = false; ///< guard tripped; rebuilt sequentially
-  std::string fallback;        ///< engage_veto reason when neither applies
-};
-
-/// Runs `spec` once without observers or noise (both veto the parallel
-/// engine; the caller flips noise off on both sides of the digest pair)
-/// and returns the final-state digest. lps >= 2 requests the parallel
-/// engine; an AffinityFault mid-run leaves the machine unusable, so the
-/// run is rebuilt from scratch and completed sequentially — the recovery
-/// contract Machine::enable_par documents.
-std::uint64_t digest_run(const WorkloadSpec& spec, int lps, ParCheck* pc) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const bool want_par = lps >= 2 && attempt == 0;
-    WorkloadRun run(spec, nullptr);
-    if (want_par) {
-      sim::ParOptions popts;
-      popts.lps = lps;
-      run.machine().enable_par(popts);
-    }
-    try {
-      run.run_until(0);
-    } catch (const sim::AffinityFault&) {
-      if (pc != nullptr) pc->affinity_fault = true;
-      continue;
-    }
-    CAPMEM_CHECK_MSG(!run.errored(),
-                     "observer-free re-run of a passing cell errored: "
-                     << spec.label());
-    if (want_par && pc != nullptr) {
-      pc->engaged = run.machine().par_report().engaged;
-      pc->fallback = run.machine().par_report().fallback;
-    }
-    return snap::digest(run.machine().export_state());
-  }
-  CAPMEM_CHECK_MSG(false, "sequential rebuild cannot AffinityFault: "
-                   << spec.label());
-  return 0;
-}
-
-ParCheck par_recheck(WorkloadSpec spec, int lps) {
-  // Noise off for BOTH runs of the pair: the swept spec's transcript was
-  // already checked by the main sweep; the re-check compares the two
-  // engines on the same noise-free configuration, which is the only one
-  // the parallel engine engages on.
-  spec.disable_noise = true;
-  ParCheck pc;
-  const std::uint64_t seq = digest_run(spec, 0, nullptr);
-  const std::uint64_t par = digest_run(spec, lps, &pc);
-  pc.match = par == seq;
-  return pc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -222,10 +152,6 @@ int main(int argc, char** argv) {
       "warm-snapshot", false,
       "pause every schedule mid-run, round-trip a snapshot through the "
       "byte format, then resume (stdout must not change)");
-  const int par = static_cast<int>(cli.get_int(
-      "par", 0,
-      "after a clean sweep, re-run every pass-0 cell under the parallel "
-      "engine at N LPs and diff final-state digests vs sequential"));
   const int jobs = cli.get_jobs();
   const bool progress = cli.get_flag(
       "progress", false,
@@ -522,65 +448,6 @@ int main(int argc, char** argv) {
               << " schedules, " << quarantined.size()
               << " quarantined, 0 divergences\n";
     return 2;
-  }
-
-  if (par >= 2) {
-    obs.phase("par-recheck");
-    const int njobs = static_cast<int>(cells.size()) * seeds;
-    auto [checks, report] = exec::try_parallel_map<ParCheck>(
-        njobs, jobs, [&](int i) {
-          const std::size_t cell = static_cast<std::size_t>(i) /
-                                   static_cast<std::size_t>(seeds);
-          const std::size_t trial = static_cast<std::size_t>(i) %
-                                    static_cast<std::size_t>(seeds);
-          return par_recheck(make_spec(0, cell, trial), par);
-        });
-    std::size_t engaged = 0, faulted = 0, vetoed = 0, mismatched = 0;
-    int first_bad = -1;
-    for (int i = 0; i < njobs; ++i) {
-      const ParCheck& pc = checks[static_cast<std::size_t>(i)];
-      engaged += pc.engaged ? 1 : 0;
-      faulted += pc.affinity_fault ? 1 : 0;
-      vetoed += (!pc.engaged && !pc.affinity_fault) ? 1 : 0;
-      if (!pc.match) {
-        ++mismatched;
-        if (first_bad < 0) first_bad = i;
-      }
-    }
-    for (const exec::JobFailure& f : report.failures) {
-      ++mismatched;
-      if (first_bad < 0) first_bad = f.job;
-      std::cout << "par-recheck job failed: " << f.error << '\n';
-    }
-    std::cout << "par-recheck n=" << par << ": " << njobs << " cells, "
-              << engaged << " engaged, " << faulted
-              << " affinity-faulted (rebuilt sequentially), " << vetoed
-              << " vetoed, " << mismatched << " digest mismatches\n";
-    if (mismatched > 0) {
-      WorkloadSpec bad = make_spec(
-          0,
-          static_cast<std::size_t>(first_bad) /
-              static_cast<std::size_t>(seeds),
-          static_cast<std::size_t>(first_bad) %
-              static_cast<std::size_t>(seeds));
-      bad.disable_noise = true;  // the mismatch was found noise-free
-      std::cout << "PAR-DIVERGENCE " << bad.label()
-                << ": parallel-engine digest differs from sequential\n";
-      // The sequential run of this spec is checker-clean (the sweep just
-      // passed), so bisect with the full checking stack to name the last
-      // state both engines agree is good.
-      const check::DivergencePoint where = locate_divergence(bad);
-      DiffOutcome out = run_diff(bad);
-      out.ok = false;
-      out.report = "parallel-engine final-state digest differs from the "
-                   "sequential engine at --par " + std::to_string(par) + '\n';
-      std::ofstream repro(repro_out);
-      repro << repro_text(out, &where);
-      std::cout << "repro: " << repro_out << '\n';
-      std::cout << "FAIL fuzz-diff --par: " << mismatched
-                << " of " << njobs << " cells diverged\n";
-      return 1;
-    }
   }
 
   std::cout << "PASS fuzz-diff: " << total_schedules

@@ -36,7 +36,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "exec/host.hpp"
-#include "par/workloads.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
 #include "snap/snapshot.hpp"
@@ -257,133 +256,9 @@ WarmStart run_warm_start(const Sizes& sz, int forks, std::uint64_t seed,
   return w;
 }
 
-/// One --par N measurement: the workload under the conservative parallel
-/// engine at a given LP count, identity-checked against its own sequential
-/// baseline.
-struct ParCell {
-  int lps = 0;
-  std::uint64_t rounds = 0;
-  Nanos lookahead_ns = 0;
-  std::uint64_t steps = 0;  ///< sum of per-LP event counts
-  double wall_s = 0;
-  double max_lp_busy_s = 0;  ///< critical-path CPU time across LP workers
-  std::vector<std::uint64_t> lp_steps;
-  double aggregate_eps = 0;  ///< steps / max_lp_busy_s
-  double wall_eps = 0;       ///< steps / wall_s
-  double speedup_aggregate = 0;  ///< aggregate_eps / sequential events/sec
-  double speedup_wall = 0;
-};
-
-struct ParWorkload {
-  std::string name;
-  int threads = 0;
-  int iters = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t seq_steps = 0;
-  Nanos virt_ns = 0;
-  double seq_wall_s = 0;
-  double seq_eps = 0;
-  std::vector<ParCell> cells;
-};
-
-/// The parallel-scaling sweep (--par N): the partition-affine workloads
-/// from par::workloads — the exact builders tests/test_par_equivalence
-/// locks — run sequentially and at LP counts 2,4,...,N. Every parallel run
-/// must engage (no silent sequential fallback) and reproduce the
-/// sequential digest bit-for-bit, or perf_sim aborts.
-///
-/// Two throughput readings per cell: wall events/sec (honest end-to-end,
-/// but meaningless as a scaling signal when the host has fewer cores than
-/// LPs and the workers timeshare), and aggregate events/sec = total events
-/// over the critical-path CPU time (max per-LP worker thread-CPU seconds)
-/// — the committed-event rate the LP structure sustains with one core per
-/// LP, which is the standard conservative-PDES scaling measure and is
-/// host-concurrency-independent.
-std::vector<ParWorkload> run_par_scaling(int max_lps, bool quick,
-                                         Protocol protocol,
-                                         std::uint64_t seed) {
-  par::AffineSpec spec;
-  spec.protocol = protocol;
-  spec.seed = seed;
-  spec.threads = quick ? 8 : 16;
-  spec.iters = quick ? 2 : 4;
-  spec.bytes = quick ? KiB(16) : KiB(64);
-
-  struct Entry {
-    const char* name;
-    void (*build)(Machine&, const par::AffineSpec&);
-  };
-  const Entry entries[] = {
-      {"affine_triad", par::build_affine_triad},
-      {"affine_barrier", par::build_affine_compute_barrier},
-  };
-
-  std::vector<ParWorkload> out;
-  for (const Entry& e : entries) {
-    ParWorkload w;
-    w.name = e.name;
-    w.threads = spec.threads;
-    w.iters = spec.iters;
-    w.bytes = spec.bytes;
-
-    std::uint64_t seq_digest = 0;
-    {
-      Machine m(par::affine_config(spec));
-      e.build(m, spec);
-      const double t0 = exec::host_now_seconds();
-      m.run();
-      w.seq_wall_s = exec::host_now_seconds() - t0;
-      w.seq_steps = m.engine().steps();
-      w.virt_ns = m.elapsed();
-      seq_digest = snap::digest(m.export_state());
-      w.seq_eps = w.seq_wall_s > 0
-                      ? static_cast<double>(w.seq_steps) / w.seq_wall_s
-                      : 0.0;
-    }
-
-    for (int n = 2; n <= max_lps; n *= 2) {
-      Machine m(par::affine_config(spec));
-      e.build(m, spec);
-      sim::ParOptions popts;
-      popts.lps = n;
-      m.enable_par(popts);
-      const double t0 = exec::host_now_seconds();
-      m.run();
-      ParCell c;
-      c.lps = n;
-      c.wall_s = exec::host_now_seconds() - t0;
-      const sim::ParReport& rep = m.par_report();
-      CAPMEM_CHECK_MSG(rep.engaged, "par-scaling cell " << e.name << " n="
-                       << n << " fell back to sequential: " << rep.fallback);
-      CAPMEM_CHECK_MSG(snap::digest(m.export_state()) == seq_digest &&
-                       m.elapsed() == w.virt_ns,
-                       "parallel run diverged from sequential on "
-                       << e.name << " at n=" << n);
-      c.rounds = rep.rounds;
-      c.lookahead_ns = rep.lookahead_ns;
-      c.lp_steps = rep.lp_steps;
-      for (std::uint64_t ls : rep.lp_steps) c.steps += ls;
-      for (double b : rep.lp_busy_s) {
-        if (b > c.max_lp_busy_s) c.max_lp_busy_s = b;
-      }
-      c.wall_eps = c.wall_s > 0 ? static_cast<double>(c.steps) / c.wall_s
-                                : 0.0;
-      c.aggregate_eps = c.max_lp_busy_s > 0
-                            ? static_cast<double>(c.steps) / c.max_lp_busy_s
-                            : 0.0;
-      c.speedup_aggregate = w.seq_eps > 0 ? c.aggregate_eps / w.seq_eps : 0.0;
-      c.speedup_wall = w.seq_eps > 0 ? c.wall_eps / w.seq_eps : 0.0;
-      w.cells.push_back(std::move(c));
-    }
-    out.push_back(std::move(w));
-  }
-  return out;
-}
-
 void write_json(const std::string& path, const std::vector<CellResult>& rs,
                 bool quick, int reps, const Sizes& sz,
-                const WarmStart* warm,
-                const std::vector<ParWorkload>* par) {
+                const WarmStart* warm) {
   std::ofstream out(path);
   CAPMEM_CHECK_MSG(out.good(), "cannot open " << path);
   char buf[64];
@@ -418,40 +293,6 @@ void write_json(const std::string& path, const std::vector<CellResult>& rs,
         << "    \"warm_wall_s\": " << warm->warm_wall_s << ",\n"
         << "    \"speedup\": " << warm->speedup << "\n  }";
   }
-  if (par != nullptr) {
-    out << ",\n  \"par_scaling\": {\n    \"workloads\": [\n";
-    for (std::size_t i = 0; i < par->size(); ++i) {
-      const ParWorkload& w = (*par)[i];
-      std::snprintf(buf, sizeof buf, "%.17g", w.virt_ns);
-      out << "      {\"workload\": \"" << w.name << "\", \"threads\": "
-          << w.threads << ", \"iters\": " << w.iters << ", \"bytes\": "
-          << w.bytes << ",\n       \"seq\": {\"steps\": " << w.seq_steps
-          << ", \"virt_ns\": " << buf << ", \"wall_s\": " << w.seq_wall_s
-          << ", \"events_per_sec\": " << w.seq_eps << "},\n"
-          << "       \"par\": [\n";
-      for (std::size_t j = 0; j < w.cells.size(); ++j) {
-        const ParCell& c = w.cells[j];
-        std::snprintf(buf, sizeof buf, "%.17g", c.lookahead_ns);
-        out << "         {\"lps\": " << c.lps << ", \"engaged\": true"
-            << ", \"digest_match\": true"
-            << ", \"rounds\": " << c.rounds
-            << ", \"lookahead_ns\": " << buf
-            << ", \"steps\": " << c.steps << ", \"lp_steps\": [";
-        for (std::size_t k = 0; k < c.lp_steps.size(); ++k) {
-          out << (k ? ", " : "") << c.lp_steps[k];
-        }
-        out << "],\n          \"wall_s\": " << c.wall_s
-            << ", \"max_lp_busy_s\": " << c.max_lp_busy_s
-            << ", \"wall_events_per_sec\": " << c.wall_eps
-            << ", \"aggregate_events_per_sec\": " << c.aggregate_eps
-            << ",\n          \"speedup_wall\": " << c.speedup_wall
-            << ", \"speedup_aggregate\": " << c.speedup_aggregate << "}"
-            << (j + 1 < w.cells.size() ? "," : "") << "\n";
-      }
-      out << "       ]}" << (i + 1 < par->size() ? "," : "") << "\n";
-    }
-    out << "    ]\n  }";
-  }
   out << "\n}\n";
 }
 
@@ -475,11 +316,6 @@ int main(int argc, char** argv) {
       "captured warm prefix vs re-running the prefix per cell");
   const int forks = static_cast<int>(cli.get_int(
       "forks", 8, "measurement cells forked from the warm snapshot"));
-  const int par = static_cast<int>(cli.get_int(
-      "par", 0,
-      "append a parallel-scaling sweep of the partition-affine workloads "
-      "at LP counts 2,4,...,N under the conservative parallel engine "
-      "(sequential-identity is CHECKed per cell)"));
   cli.finish();
 
   const Sizes sz = quick ? quick_sizes() : full_sizes();
@@ -531,39 +367,11 @@ int main(int argc, char** argv) {
     std::printf("warm-start cold=%.3fs warm=%.3fs speedup=%.2fx\n",
                 warm.cold_wall_s, warm.warm_wall_s, warm.speedup);
   }
-  std::vector<ParWorkload> par_scaling;
-  if (par >= 2) {
-    par_scaling = run_par_scaling(par, quick, protocol, seed);
-    for (const ParWorkload& w : par_scaling) {
-      std::printf("par-scaling %-14s seq steps=%llu wall_s=%.3f "
-                  "events/sec=%.4g\n",
-                  w.name.c_str(),
-                  static_cast<unsigned long long>(w.seq_steps), w.seq_wall_s,
-                  w.seq_eps);
-      for (const ParCell& c : w.cells) {
-        std::printf("par-scaling %-14s n=%d rounds=%llu wall_s=%.3f "
-                    "agg_events/sec=%.4g speedup_agg=%.2f speedup_wall=%.2f\n",
-                    w.name.c_str(), c.lps,
-                    static_cast<unsigned long long>(c.rounds), c.wall_s,
-                    c.aggregate_eps, c.speedup_aggregate, c.speedup_wall);
-        // Deterministic payload (PARCHECK mirrors CHECKSUM): identical
-        // across hosts and across --par reruns; digest identity with the
-        // sequential engine was CHECKed before this line printed.
-        std::printf("PARCHECK %s n=%d steps=%llu virt_ns=%.17g "
-                    "lookahead_ns=%.17g rounds=%llu digest_match=1\n",
-                    w.name.c_str(), c.lps,
-                    static_cast<unsigned long long>(c.steps), w.virt_ns,
-                    c.lookahead_ns,
-                    static_cast<unsigned long long>(c.rounds));
-      }
-    }
-  }
   std::printf("peak_rss_bytes=%llu\n",
               static_cast<unsigned long long>(exec::host_peak_rss_bytes()));
   if (!json_out.empty()) {
     write_json(json_out, results, quick, reps, sz,
-               warm_snapshot ? &warm : nullptr,
-               par >= 2 ? &par_scaling : nullptr);
+               warm_snapshot ? &warm : nullptr);
   }
   return 0;
 }

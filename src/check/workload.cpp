@@ -96,7 +96,6 @@ sim::MachineConfig workload_config(const WorkloadSpec& spec) {
     if (scale > 1) cfg.scale_memory(scale);
   }
   cfg.seed = spec.seed;
-  if (spec.disable_noise) cfg.noise.enabled = false;
   return cfg;
 }
 

@@ -62,12 +62,6 @@ struct WorkloadSpec {
   /// Degraded-silicon severity 0-3 (fault::from_seed(seed, severity));
   /// 0 = healthy, byte-identical to the pre-fault simulator.
   int fault_severity = 0;
-  /// Disables measurement noise. The parallel-engine re-check
-  /// (fuzz_diff --par) needs it off — noise draws from one machine-global
-  /// RNG stream, which vetoes engagement — and flips it for both sides of
-  /// its sequential-vs-parallel digest pair, so the comparison stays
-  /// apples-to-apples. Default keeps the historical fuzz transcripts.
-  bool disable_noise = false;
 
   /// "quad/flat t10 ops160 seed42", with "[:N]" appended under a prefix
   /// and " steps<=N" / " faultN" / " <machine>/<protocol>" when those

@@ -1,20 +1,37 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
-
+#include <optional>
 #include <thread>
 
-#include "common/check.hpp"
-
 namespace capmem {
+
+namespace {
+
+/// Runs a strtoll/strtod-style `parse` over all of `v`: nullopt unless it
+/// consumed every character and stayed in range.
+template <class T, class Parse>
+std::optional<T> parse_whole(const std::string& v, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T x = parse(v.c_str(), &end);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return x;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "prog";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    CAPMEM_CHECK_MSG(arg.rfind("--", 0) == 0,
-                     "options must start with --, got '" << arg << "'");
+    if (arg.rfind("--", 0) != 0) {
+      errors_.push_back("unexpected argument '" + arg +
+                        "' (options start with --)");
+      continue;
+    }
     arg = arg.substr(2);
     if (arg == "help") {
       help_requested_ = true;
@@ -43,7 +60,15 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
   declared_[name] = {help, std::to_string(def)};
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::stoll(it->second);
+  const auto v = parse_whole<long long>(
+      it->second,
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+  if (!v) {
+    errors_.push_back("--" + name + " expects an integer, got '" +
+                      it->second + "'");
+    return def;
+  }
+  return *v;
 }
 
 double Cli::get_double(const std::string& name, double def,
@@ -51,7 +76,15 @@ double Cli::get_double(const std::string& name, double def,
   declared_[name] = {help, std::to_string(def)};
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::stod(it->second);
+  const auto v = parse_whole<double>(
+      it->second,
+      [](const char* s, char** end) { return std::strtod(s, end); });
+  if (!v) {
+    errors_.push_back("--" + name + " expects a number, got '" + it->second +
+                      "'");
+    return def;
+  }
+  return *v;
 }
 
 bool Cli::get_flag(const std::string& name, bool def,
@@ -85,21 +118,32 @@ LogLevel Cli::get_log_level() {
   return level;
 }
 
+void Cli::print_usage(std::ostream& os) const {
+  os << "usage: " << program_ << " [options]\n";
+  for (const auto& [name, decl] : declared_) {
+    os << "  --" << name << " (default: " << decl.def << ")";
+    if (!decl.help.empty()) os << "  " << decl.help;
+    os << '\n';
+  }
+}
+
 void Cli::finish() {
   if (help_requested_) {
-    std::cout << "usage: " << program_ << " [options]\n";
-    for (const auto& [name, decl] : declared_) {
-      std::cout << "  --" << name << " (default: " << decl.def << ")";
-      if (!decl.help.empty()) std::cout << "  " << decl.help;
-      std::cout << '\n';
-    }
+    print_usage(std::cout);
     std::exit(0);
   }
   for (const auto& [name, value] : values_) {
     (void)value;
-    CAPMEM_CHECK_MSG(declared_.count(name) != 0,
-                     "unknown option --" << name);
+    if (declared_.count(name) == 0) {
+      errors_.push_back("unknown option --" + name);
+    }
   }
+  if (errors_.empty()) return;
+  for (const std::string& e : errors_) {
+    std::cerr << program_ << ": " << e << '\n';
+  }
+  print_usage(std::cerr);
+  std::exit(2);
 }
 
 }  // namespace capmem

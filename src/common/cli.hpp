@@ -1,10 +1,13 @@
 // Minimal command-line option parsing for the bench and example binaries.
 //
-// Supports `--name=value`, `--name value`, and boolean `--flag`. Unknown
-// options are an error so typos in sweep scripts fail loudly.
+// Supports `--name=value`, `--name value`, and boolean `--flag`. Usage
+// errors (unknown options, positional arguments, malformed numbers) make
+// finish() print them with the full usage and exit(2), so typos in sweep
+// scripts fail loudly without a crash.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,18 +18,20 @@ namespace capmem {
 
 class Cli {
  public:
-  /// Parses argv. Throws CheckError on malformed or unknown options once
-  /// `finish()` is called (options are declared by the get_* calls between
+  /// Parses argv. Malformed arguments are recorded and reported by
+  /// finish() (options are declared by the get_* calls between
   /// construction and finish()).
   Cli(int argc, const char* const* argv);
 
   /// Declares and reads a string option with a default.
   std::string get_string(const std::string& name, std::string def,
                          const std::string& help = {});
-  /// Declares and reads an integer option with a default.
+  /// Declares and reads an integer option with a default. A value that is
+  /// not entirely an integer is a usage error; the default is returned.
   std::int64_t get_int(const std::string& name, std::int64_t def,
                        const std::string& help = {});
-  /// Declares and reads a floating-point option with a default.
+  /// Declares and reads a floating-point option with a default (malformed
+  /// values as for get_int).
   double get_double(const std::string& name, double def,
                     const std::string& help = {});
   /// Declares and reads a boolean flag (present => true, or --x=false).
@@ -43,8 +48,10 @@ class Cli {
   /// set_log_level() and returns it.
   LogLevel get_log_level();
 
-  /// Validates that every supplied option was declared; prints usage and
-  /// exits(0) when --help was given. Call once after all get_* calls.
+  /// Prints usage and exits(0) when --help was given. Otherwise checks that
+  /// every supplied option was declared; on any usage error prints the
+  /// errors and the usage to stderr and exits(2). Call once after all get_*
+  /// calls.
   void finish();
 
   /// Program name (argv[0]).
@@ -55,9 +62,12 @@ class Cli {
     std::string help;
     std::string def;
   };
+  void print_usage(std::ostream& os) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
   std::map<std::string, Decl> declared_;
+  std::vector<std::string> errors_;
   bool help_requested_ = false;
 };
 

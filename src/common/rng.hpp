@@ -108,12 +108,10 @@ class Rng {
 
 /// XORs a splitmix64-derived word sequence keyed by `fork_seed` into a
 /// xoshiro256** state, yielding a decorrelated stream per distinct seed.
-/// This is THE stream-partitioning scheme of the codebase: snap::fork()
-/// perturbs a forked machine's engine RNG with it, and capmem::par uses the
-/// same function for per-LP engine streams, so "fork stream k" and "LP
-/// stream k" are the exact same words (regression-tested). fork_seed == 0 is
-/// the identity only when the splitmix sequence happens to XOR to zero —
-/// callers wanting "no perturbation" should simply not call this.
+/// snap::fork() perturbs a forked machine's engine RNG with it, so sibling
+/// forks draw independent streams. fork_seed == 0 is the identity only when
+/// the splitmix sequence happens to XOR to zero — callers wanting "no
+/// perturbation" should simply not call this.
 inline void perturb_stream(std::array<std::uint64_t, 4>& w,
                            std::uint64_t fork_seed) {
   std::uint64_t x = fork_seed;

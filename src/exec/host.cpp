@@ -1,7 +1,6 @@
 #include "exec/host.hpp"
 
 #include <chrono>
-#include <ctime>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -27,16 +26,6 @@ double host_now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-double host_thread_cpu_seconds() {
-#if defined(__unix__)
-  struct timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-#else
-  return 0;
-#endif
 }
 
 }  // namespace capmem::exec

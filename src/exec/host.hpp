@@ -17,10 +17,4 @@ std::uint64_t host_peak_rss_bytes();
 /// Monotonic host wall clock in seconds (steady_clock; perf timing only).
 double host_now_seconds();
 
-/// CPU seconds consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID
-/// where available, 0 otherwise). Unlike wall time this is unaffected by
-/// other runnable threads timesharing the same core, so per-worker busy
-/// accounting stays meaningful on hosts with fewer cores than workers.
-double host_thread_cpu_seconds();
-
 }  // namespace capmem::exec

@@ -84,7 +84,6 @@ void Ledger::ensure_task(int tid) {
     spawn_.resize(need, 0);
     final_.resize(need, 0);
     task_tile_.resize(need, 0);
-    spawned_.resize(need, 0);
     edges_.resize(need);
   }
 }
@@ -94,7 +93,6 @@ void Ledger::on_spawn(int tid, double clock) {
   const Ticks t = to_ticks(clock);
   mirror_[static_cast<std::size_t>(tid)] = t;
   spawn_[static_cast<std::size_t>(tid)] = t;
-  spawned_[static_cast<std::size_t>(tid)] = 1;
 }
 
 void Ledger::set_task_tile(int tid, int tile) {
@@ -168,51 +166,6 @@ void Ledger::finalize(double end_time_ns) {
            to_ns(mirror_[static_cast<std::size_t>(tid)]), end_time_ns);
   }
   finalized_ = true;
-}
-
-void Ledger::absorb(const Ledger& o) {
-  CAPMEM_CHECK_MSG(!finalized_ && !o.finalized_,
-                   "absorb needs two open (unfinalized) ledgers");
-  CAPMEM_CHECK_MSG(o.tiles_ == tiles_,
-                   "absorb across tile counts (" << o.tiles_ << " vs "
-                                                 << tiles_ << ")");
-  for (int tid = 0; tid < o.tasks(); ++tid) {
-    const auto i = static_cast<std::size_t>(tid);
-    if (o.spawned_[i] == 0) continue;  // hole: owned by another LP
-    ensure_task(tid);
-    CAPMEM_CHECK_MSG(spawned_[i] == 0,
-                     "task " << tid << " spawned in two LP ledgers");
-    spawned_[i] = 1;
-    mirror_[i] = o.mirror_[i];
-    spawn_[i] = o.spawn_[i];
-    final_[i] = o.final_[i];
-    task_tile_[i] = o.task_tile_[i];
-    edges_[i] = o.edges_[i];
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i] += o.cells_[i];
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += o.counts_[i];
-  for (int t = 0; t < tiles_; ++t) {
-    hop_v_tile_[static_cast<std::size_t>(t)] +=
-        o.hop_v_tile_[static_cast<std::size_t>(t)];
-    hop_h_tile_[static_cast<std::size_t>(t)] +=
-        o.hop_h_tile_[static_cast<std::size_t>(t)];
-    dir_lookups_[static_cast<std::size_t>(t)] +=
-        o.dir_lookups_[static_cast<std::size_t>(t)];
-  }
-  hops_v_ += o.hops_v_;
-  hops_h_ += o.hops_h_;
-  cha_queue_ns_ += o.cha_queue_ns_;
-  cha_service_ns_ += o.cha_service_ns_;
-  for (int l = 0; l < static_cast<int>(TransLabel::kCount); ++l) {
-    for (int f = 0; f < kTransStates; ++f) {
-      for (int t = 0; t < kTransStates; ++t) {
-        trans_[l][f][t] += o.trans_[l][f][t];
-      }
-    }
-  }
-  // ddr/mcdram busy-ns deliberately untouched: the machine sets them once
-  // from the merged memory system's pool state (summing per-LP views would
-  // double-count nothing here, but the merged pools are the ground truth).
 }
 
 Ticks Ledger::total(TimeCat c) const {

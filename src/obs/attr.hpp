@@ -140,23 +140,6 @@ class Ledger {
   /// meaningful.
   void finalize(double end_time_ns);
 
-  /// Folds another (unfinalized) ledger of the same tile count into this
-  /// one. The parallel engine gives each LP replica its own ledger charging
-  /// only that LP's tasks; the machine absorbs all of them and finalizes
-  /// once, so the merged ledger satisfies the exact conservation identity
-  /// machine-wide. Per-task rows transfer only for tasks actually spawned
-  /// in `o` (a tid may appear as a hole there when a cross-LP sync edge
-  /// named it); a task spawned in both ledgers is a partitioning bug and
-  /// throws. Cells, traffic counters and transition tables sum; channel
-  /// busy-ns do not (set once from the merged memory system).
-  void absorb(const Ledger& o);
-
-  /// True when `tid` was registered through on_spawn (as opposed to being
-  /// a zero-filled hole created by ensure_task).
-  bool task_spawned(int tid) const {
-    return tid >= 0 && tid < tasks() &&
-           spawned_[static_cast<std::size_t>(tid)] != 0;
-  }
 
   // --- queries ------------------------------------------------------------
   int tiles() const { return tiles_; }
@@ -225,7 +208,6 @@ class Ledger {
   std::vector<Ticks> spawn_;            // per task: spawn clock
   std::vector<Ticks> final_;            // per task: clock before end slack
   std::vector<int> task_tile_;          // per task: home tile for cells
-  std::vector<std::uint8_t> spawned_;   // per task: 1 iff on_spawn'd here
   std::vector<std::vector<Edge>> edges_;
   std::vector<std::uint64_t> hop_v_tile_, hop_h_tile_;
   std::uint64_t hops_v_ = 0, hops_h_ = 0;

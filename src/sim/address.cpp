@@ -22,9 +22,7 @@ Addr AddressSpace::alloc(std::string name, std::uint64_t bytes,
 void AddressSpace::free(Addr base) {
   const auto it = allocs_.find(base);
   CAPMEM_CHECK_MSG(it != allocs_.end(), "free of unknown base " << base);
-  if (last_.load(std::memory_order_relaxed) == &it->second) {
-    last_.store(nullptr, std::memory_order_relaxed);
-  }
+  if (last_ == &it->second) last_ = nullptr;
   allocs_.erase(it);
 }
 

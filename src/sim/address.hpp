@@ -8,7 +8,6 @@
 // footprints stay cheap on the host.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -58,6 +57,9 @@ struct Allocation {
 class AddressSpace {
  public:
   AddressSpace() = default;
+  // Non-copyable: the lookup hint points into this space's own map.
+  AddressSpace(const AddressSpace&) = delete;
+  AddressSpace& operator=(const AddressSpace&) = delete;
 
   /// Allocates `bytes` (rounded up to whole lines), line-aligned.
   Addr alloc(std::string name, std::uint64_t bytes, Placement place,
@@ -107,26 +109,21 @@ class AddressSpace {
   };
   /// Slot covering `a`, or nullptr. Caches the last hit: accesses cluster
   /// heavily within one buffer, so most lookups skip the tree walk
-  /// (map nodes are stable, the cache is only dropped on free()). The cache
-  /// is a relaxed atomic because parallel-LP replicas share one space:
-  /// concurrent lookups may clobber each other's hint, but any cached Slot*
-  /// stays valid (no alloc/free during a run) and is re-validated with
-  /// contains() before use, so a stale hint only costs the tree walk.
+  /// (map nodes are stable, the cache is only dropped on free()).
   Slot* lookup_slot(Addr a) {
-    Slot* hint = last_.load(std::memory_order_relaxed);
-    if (hint != nullptr && hint->info.contains(a)) return hint;
+    if (last_ != nullptr && last_->info.contains(a)) return last_;
     auto it = allocs_.upper_bound(a);
     if (it == allocs_.begin()) return nullptr;
     --it;
     if (!it->second.info.contains(a)) return nullptr;
-    last_.store(&it->second, std::memory_order_relaxed);
-    return &it->second;
+    last_ = &it->second;
+    return last_;
   }
 
   static constexpr Addr kBase = 0x10000;  // keep 0 invalid
   Addr next_ = kBase;
   std::map<Addr, Slot> allocs_;  // keyed by base
-  std::atomic<Slot*> last_{nullptr};
+  Slot* last_ = nullptr;  // lookup hint into allocs_
 };
 
 }  // namespace capmem::sim

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -77,26 +76,6 @@ int Engine::spawn(Task task, Nanos start) {
   h.promise().tid = tid;
   h.promise().clock = start;
   tasks_.push_back(h);
-  run_q_.push(start, task_payload(h));
-  ++live_;
-  if (attr_) attr_->on_spawn(tid, start);
-  return tid;
-}
-
-int Engine::spawn_as(Task task, Nanos start, int tid) {
-  CAPMEM_CHECK_MSG(!running_, "spawn during run() is not supported");
-  CAPMEM_CHECK_MSG(tid >= 0, "spawn_as needs a non-negative tid");
-  Task::Handle h = task.release();
-  CAPMEM_CHECK(h);
-  if (tid >= static_cast<int>(tasks_.size())) {
-    tasks_.resize(static_cast<std::size_t>(tid) + 1);  // holes stay null
-  }
-  CAPMEM_CHECK_MSG(!tasks_[static_cast<std::size_t>(tid)],
-                   "tid " << tid << " already spawned on this engine");
-  h.promise().engine = this;
-  h.promise().tid = tid;
-  h.promise().clock = start;
-  tasks_[static_cast<std::size_t>(tid)] = h;
   run_q_.push(start, task_payload(h));
   ++live_;
   if (attr_) attr_->on_spawn(tid, start);
@@ -186,10 +165,6 @@ void Engine::release_sync() {
     }
     tmax = std::max(tmax, w.promise().clock);
   }
-  apply_sync_release(tmax, last_tid);
-}
-
-void Engine::apply_sync_release(Nanos tmax, int last_tid) {
   for (Task::Handle w : sync_q_) {
     auto& p = w.promise();
     if (attr_) {
@@ -205,18 +180,8 @@ void Engine::apply_sync_release(Nanos tmax, int last_tid) {
   sync_q_.clear();
 }
 
-std::vector<std::pair<int, Nanos>> Engine::sync_arrivals() const {
-  std::vector<std::pair<int, Nanos>> out;
-  out.reserve(sync_q_.size());
-  for (Task::Handle w : sync_q_) {
-    out.emplace_back(w.promise().tid, w.promise().clock);
-  }
-  return out;
-}
-
 void Engine::sync_arrive(Task::Handle h) {
   sync_q_.push_back(h);
-  if (deferred_sync_) return;  // machine-global barrier: session releases
   if (static_cast<int>(sync_q_.size()) < live_) return;
   release_sync();
 }
@@ -232,8 +197,7 @@ void Engine::finish(Task::Handle h) {
                     h.promise().tid);
   }
   // Release a barrier that was waiting only on still-live tasks.
-  if (!deferred_sync_ && !sync_q_.empty() &&
-      static_cast<int>(sync_q_.size()) >= live_) {
+  if (!sync_q_.empty() && static_cast<int>(sync_q_.size()) >= live_) {
     release_sync();
   }
 }
@@ -269,45 +233,6 @@ bool Engine::run_until(std::uint64_t step_limit) {
   running_ = false;
   if (live_ > 0) report_deadlock();
   return true;
-}
-
-std::uint64_t Engine::run_window(Nanos horizon) {
-  CAPMEM_CHECK(!running_);
-  running_ = true;
-  std::uint64_t executed = 0;
-  while (!run_q_.empty() && run_q_.min_time() < horizon) {
-    const EventQueue::Entry e = run_q_.pop_min();
-    CAPMEM_DCHECK(e.t + 1e-6 >= global_time_);
-    global_time_ = std::max(global_time_, e.t);
-    ++steps_;
-    ++executed;
-    if (wd_armed_) watchdog_check();
-    if ((e.payload & 1) == 0) {
-      const auto h =
-          Task::Handle::from_address(reinterpret_cast<void*>(e.payload));
-      if (trace_) {
-        emit_task_event(trace_, obs::EventKind::kTaskResume, e.t,
-                        h.promise().tid);
-      }
-      h.resume();
-      if (h.promise().done) finish(h);
-    } else {
-      run_callback(e.payload);
-    }
-  }
-  running_ = false;
-  return executed;
-}
-
-Nanos Engine::frontier() const {
-  if (run_q_.empty()) return std::numeric_limits<Nanos>::infinity();
-  return run_q_.min_time();
-}
-
-void Engine::settle_to(Nanos t) {
-  CAPMEM_CHECK_MSG(!running_ && run_q_.empty(),
-                   "settle_to needs a drained, stopped engine");
-  global_time_ = std::max(global_time_, t);
 }
 
 state::EngineState Engine::export_state() const {

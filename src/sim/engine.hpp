@@ -126,19 +126,6 @@ class Engine {
   /// Returns its task id (dense, starting at 0).
   int spawn(Task task, Nanos start = 0);
 
-  /// Registers a task under an externally assigned id (capmem::par: LP
-  /// engines keep the machine-global tid numbering, so the task table has
-  /// holes for tids owned by other LPs). `tid` must not already be spawned
-  /// here. Returns `tid`.
-  int spawn_as(Task task, Nanos start, int tid);
-
-  /// True when `tid` names a task spawned on THIS engine (spawn_as leaves
-  /// holes; task_handle on a hole is invalid).
-  bool has_task(int tid) const {
-    return tid >= 0 && tid < static_cast<int>(tasks_.size()) &&
-           static_cast<bool>(tasks_[static_cast<std::size_t>(tid)]);
-  }
-
   /// Runs until every task finished. Throws on task exceptions; raises
   /// SimAbort (a CheckError) on deadlocks (tasks parked forever / barrier
   /// mismatch) and on tripped watchdog budgets instead of hanging or
@@ -151,46 +138,6 @@ class Engine {
   /// transparent: resuming with another run_until/run continues the exact
   /// same schedule, and checkpoints (capmem::snap) capture paused state.
   bool run_until(std::uint64_t step_limit);
-
-  // --- conservative-parallel (capmem::par) seams ---
-
-  /// Runs queued work with timestamps strictly below `horizon` and stops —
-  /// one LP's share of a bounded synchronization round. Unlike run_until
-  /// this never reports deadlock (only the parallel session sees the global
-  /// picture) and ignores step limits. Returns the number of steps executed
-  /// in this window.
-  std::uint64_t run_window(Nanos horizon);
-
-  /// Timestamp of the earliest queued event, or +infinity when drained —
-  /// the LP's contribution to the next round's window base.
-  Nanos frontier() const;
-
-  /// Next push sequence number (Σ over LP engines == the sequential
-  /// engine's queue_seq at the same cursor; the equivalence suite relies
-  /// on it).
-  std::uint64_t queue_seq() const { return run_q_.next_seq(); }
-
-  /// Advances a drained engine's clock to the merged end time without
-  /// executing anything (the machine's own idle engine adopts the parallel
-  /// session's result so now()/export_state read as if it ran the schedule).
-  void settle_to(Nanos t);
-
-  /// Deferred-sync mode: barrier arrivals accumulate in the local queue but
-  /// never self-release — under partitioning the barrier is machine-global,
-  /// so only the par session (which sees every LP's arrivals) may release,
-  /// via apply_sync_release. Must be set before running.
-  void set_deferred_sync(bool on) { deferred_sync_ = on; }
-
-  /// Pending barrier arrivals as (tid, arrival clock), in local arrival
-  /// order — the session scans LPs in index order to reproduce the
-  /// sequential engine's (tmax, last-arriver) computation.
-  std::vector<std::pair<int, Nanos>> sync_arrivals() const;
-
-  /// Releases the pending local arrivals against the machine-global barrier
-  /// result: charges kBarrierWait up to `tmax`, records sync edges to
-  /// `last_tid`, aligns clocks and requeues — exactly the per-waiter half
-  /// of the sequential release.
-  void apply_sync_release(Nanos tmax, int last_tid);
 
   /// Checkpoint support (capmem::snap): exports the scheduler's complete
   /// observable state — clocks, step/sequence counters, RNG words, task
@@ -316,7 +263,6 @@ class Engine {
   std::uint64_t steps_ = 0;
   int live_ = 0;
   bool running_ = false;
-  bool deferred_sync_ = false;
   obs::TraceSink* trace_ = nullptr;
   obs::attr::Ledger* attr_ = nullptr;
   WatchdogBudget wd_;

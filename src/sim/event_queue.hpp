@@ -86,20 +86,6 @@ class EventQueue {
     seq_ = seq;
   }
 
-  /// Timestamp of the entry the next pop_min would return. Pure peek: never
-  /// advances the window (the parallel engine polls every LP's frontier at
-  /// each round without disturbing the queues). Queue must be non-empty.
-  /// When the ring is live its lowest occupied bucket holds the global
-  /// minimum (the overflow minimum is at or beyond the window end, and a
-  /// clamped epsilon-late entry only ever lands in the base bucket), so the
-  /// peek is one bitmap scan.
-  Nanos min_time() const {
-    CAPMEM_DCHECK(!empty());
-    if (in_window_ == 0) return overflow_.front().t;
-    const std::size_t slot = next_occupied(base_bucket_ & kMask);
-    return ring_[slot].front().t;
-  }
-
   Entry pop_min() {
     CAPMEM_DCHECK(!empty());
     if (in_window_ == 0) {

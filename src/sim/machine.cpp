@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "par/runtime.hpp"
-
 namespace capmem::sim {
 
 // ---------------------------------------------------------------- awaiters
@@ -15,10 +13,10 @@ void LineOp::await_suspend(Task::Handle h) {
   auto& p = h.promise();
   const Allocation& al = ctx->allocation_of(addr);
   const Nanos from = p.clock;
-  out = ctx->ms_->access(ctx->tid(), ctx->core(), line_of(addr), al.place,
-                         type, opts, p.clock);
+  out = m->mem_.access(ctx->tid(), ctx->core(), line_of(addr), al.place,
+                       type, opts, p.clock);
   p.clock = out.finish;
-  if (obs::attr::Ledger* led = ctx->led_) {
+  if (obs::attr::Ledger* led = m->attr_ledger_.get()) {
     led->charge(ctx->tid(), attr_cat(out.level), from, p.clock);
   }
   if (is_u64) {
@@ -32,7 +30,7 @@ void LineOp::await_suspend(Task::Handle h) {
     }
   }
   if (type == AccessType::kWrite) {
-    ctx->eng_->notify(line_of(addr), out.finish, ctx->tid());
+    m->engine_.notify(line_of(addr), out.finish, ctx->tid());
   }
   p.engine->requeue(h);
 }
@@ -43,7 +41,7 @@ void RangeOp::step(Task::Handle h) {
   Machine& m = *op.m;
   const int tid = op.ctx->tid();
   const int core = op.ctx->core();
-  obs::attr::Ledger* const led = op.ctx->led_;
+  obs::attr::Ledger* const led = m.attr_ledger_.get();
 
   // One timed line access: advance the task clock and, with the ledger
   // attached, charge the interval to the serving level's category.
@@ -51,7 +49,7 @@ void RangeOp::step(Task::Handle h) {
                          const AccessOpts& ao) {
     const Nanos from = p.clock;
     const AccessResult r =
-        op.ctx->ms_->access(tid, core, line_of(a), place, t, ao, p.clock);
+        m.mem_.access(tid, core, line_of(a), place, t, ao, p.clock);
     p.clock = r.finish;
     if (led != nullptr) led->charge(tid, attr_cat(r.level), from, p.clock);
   };
@@ -80,7 +78,7 @@ void RangeOp::step(Task::Handle h) {
       case RangeOp::Kind::kWrite: {
         const Allocation& al = op.ctx->allocation_of(op.a);
         timed(op.a + off, al.place, AccessType::kWrite, write_opts);
-        op.ctx->eng_->notify(line_of(op.a + off), p.clock, tid);
+        m.engine_.notify(line_of(op.a + off), p.clock, tid);
         break;
       }
       case RangeOp::Kind::kCopy: {
@@ -96,7 +94,7 @@ void RangeOp::step(Task::Handle h) {
           std::memcpy(m.space().data(op.a + off, n),
                       m.space().data(op.b + off, n), n);
         }
-        op.ctx->eng_->notify(line_of(op.a + off), p.clock, tid);
+        m.engine_.notify(line_of(op.a + off), p.clock, tid);
         break;
       }
       case RangeOp::Kind::kTriad: {
@@ -108,7 +106,7 @@ void RangeOp::step(Task::Handle h) {
         timed(op.b + off, b.place, AccessType::kRead, ro);
         timed(op.c + off, c.place, AccessType::kRead, ro);
         timed(op.a + off, a.place, AccessType::kWrite, write_opts);
-        op.ctx->eng_->notify(line_of(op.a + off), p.clock, tid);
+        m.engine_.notify(line_of(op.a + off), p.clock, tid);
         break;
       }
     }
@@ -149,11 +147,11 @@ bool WaitU64::probe(Task::Handle h, Nanos at) {
   o.polling = true;
   const Allocation& al = ctx->allocation_of(addr);
   const Nanos parked_from = h.promise().clock;
-  const AccessResult r = ctx->ms_->access(ctx->tid(), ctx->core(),
-                                          line_of(addr), al.place,
-                                          AccessType::kRead, o, at);
+  const AccessResult r = m->mem_.access(ctx->tid(), ctx->core(),
+                                        line_of(addr), al.place,
+                                        AccessType::kRead, o, at);
   h.promise().clock = r.finish;
-  if (obs::attr::Ledger* led = ctx->led_) {
+  if (obs::attr::Ledger* led = m->attr_ledger_.get()) {
     // The interval up to the wake probe is time parked on the line; the
     // probe itself is a polling read charged at its serving level.
     led->charge(ctx->tid(), obs::attr::TimeCat::kParkWait, parked_from, at);
@@ -169,7 +167,7 @@ void WaitU64::await_suspend(Task::Handle h) {
     return;
   }
   WaitU64* self = this;
-  ctx->eng_->park(line_of(addr), h, [self, h](Nanos visible) {
+  m->engine_.park(line_of(addr), h, [self, h](Nanos visible) {
     return self->probe(h, std::max(h.promise().clock, visible));
   });
 }
@@ -185,7 +183,7 @@ int Ctx::domain() const {
 }
 
 Nanos Ctx::now() const {
-  return eng_->task_handle(tid_).promise().clock;
+  return m_->engine_.task_handle(tid_).promise().clock;
 }
 
 const Allocation& Ctx::allocation_of(Addr a) {
@@ -344,9 +342,6 @@ int Machine::add_thread(CpuSlot slot, Program program) {
   Ctx& ctx = ctxs_.back();
   ctx.m_ = this;
   ctx.slot_ = slot;
-  ctx.eng_ = &engine_;
-  ctx.ms_ = &mem_;
-  ctx.led_ = attr_ledger_.get();
   programs_.push_back(std::move(program));
   return static_cast<int>(ctxs_.size()) - 1;
 }
@@ -358,52 +353,22 @@ void Machine::run() {
 
 bool Machine::run_until(std::uint64_t step_limit) {
   if (finished_) return true;
-  bool par_done = false;
-  if (!ran_ && par_opts_.lps >= 2) {
-    // Parallel engagement is decided exactly once, when the schedule
-    // starts. A veto (including a stepped run, which needs the sequential
-    // engine's exact pause semantics) records its reason and falls through
-    // to the sequential engine below — results are identical either way.
-    par_report_ = ParReport{};
-    par_report_.enabled = true;
-    std::string veto =
-        step_limit != 0
-            ? std::string(
-                  "stepped run: run_until(step_limit) requires the "
-                  "sequential engine")
-            : par::engage_veto(cfg_, par_opts_.lps);
-    if (veto.empty() && (engine_.now() != 0 || engine_.steps() != 0)) {
-      veto =
-          "snapshot-warmed machine: the parallel replicas would start cold";
-    }
-    if (veto.empty()) {
-      ran_ = true;
-      par::Session session(*this, par_opts_);
-      session.run();  // throws AffinityFault on a partition violation
-      par_done = true;
-    } else {
-      par_report_.fallback = std::move(veto);
-    }
-  }
-  if (!par_done) {
-    if (!ran_) {
-      ran_ = true;
-      for (std::size_t i = 0; i < programs_.size(); ++i) {
-        Ctx& ctx = ctxs_[i];
-        Task t = programs_[i](ctx);
-        // Tasks start at the engine's current time, not 0: on a machine
-        // warmed from a snapshot the clock already advanced, and new
-        // programs must join the schedule *after* the captured prefix.
-        const int tid = engine_.spawn(std::move(t), engine_.now());
-        ctx.tid_ = tid;
-        if (attr_ledger_) {
-          attr_ledger_->set_task_tile(tid,
-                                      topo_.tile_of_core(ctx.slot_.core));
-        }
+  if (!ran_) {
+    ran_ = true;
+    for (std::size_t i = 0; i < programs_.size(); ++i) {
+      Ctx& ctx = ctxs_[i];
+      Task t = programs_[i](ctx);
+      // Tasks start at the engine's current time, not 0: on a machine
+      // warmed from a snapshot the clock already advanced, and new
+      // programs must join the schedule *after* the captured prefix.
+      const int tid = engine_.spawn(std::move(t), engine_.now());
+      ctx.tid_ = tid;
+      if (attr_ledger_) {
+        attr_ledger_->set_task_tile(tid, topo_.tile_of_core(ctx.slot_.core));
       }
     }
-    if (!engine_.run_until(step_limit)) return false;
   }
+  if (!engine_.run_until(step_limit)) return false;
   finished_ = true;
   if (attr_ledger_) flush_attr();
   if (cfg_.metrics != nullptr) {
@@ -421,10 +386,7 @@ bool Machine::run_until(std::uint64_t step_limit) {
 
 state::MachineState Machine::export_state() const {
   state::MachineState s;
-  // An engaged parallel run keeps the merged logical-process engine state
-  // (the machine's own engine never executed the schedule).
-  s.engine = par_engine_state_ != nullptr ? *par_engine_state_
-                                          : engine_.export_state();
+  s.engine = engine_.export_state();
   s.mem = mem_.export_state();
   s.space = space_.export_state();
   s.quiescent = (s.engine.live == 0 && s.engine.queue.empty() &&

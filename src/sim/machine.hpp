@@ -30,47 +30,10 @@
 #include "sim/thread.hpp"
 #include "sim/topology.hpp"
 
-namespace capmem::par {
-class Session;  // conservative parallel engine (par/runtime.hpp)
-}  // namespace capmem::par
-
 namespace capmem::sim {
 
 class Machine;
 class Ctx;
-
-/// Options for the conservative parallel engine (capmem::par). Requested
-/// with Machine::enable_par; whether the parallel engine actually engages
-/// is decided at run() time (see par::engage_veto) — non-engaging
-/// configurations fall back to the sequential engine and produce identical
-/// results.
-struct ParOptions {
-  int lps = 0;  ///< requested logical processes (< 2 disables)
-  /// Round horizon extension beyond the conservative lookahead window.
-  /// Each synchronization round advances every LP to
-  /// min-frontier + max(lookahead, quantum); the default effectively runs
-  /// each LP to its local drain per round (maximum throughput), relying on
-  /// the partition affinity guard for safety. Tests set 0 to exercise the
-  /// bounded-window protocol itself.
-  Nanos quantum_ns = 1.0e7;
-};
-
-/// Outcome of the parallel-engagement decision for the last run.
-struct ParReport {
-  bool enabled = false;   ///< enable_par was called with lps >= 2
-  bool engaged = false;   ///< the parallel engine ran the schedule
-  std::string fallback;   ///< when !engaged: why sequential ran instead
-  int lps = 0;            ///< logical processes used (engaged runs)
-  std::uint64_t rounds = 0;         ///< synchronization rounds executed
-  Nanos lookahead_ns = 0;           ///< conservative window (engaged runs)
-  bool used_domain_partition = false;  ///< tile->LP map came from SNC domains
-  std::vector<std::uint64_t> lp_steps;  ///< events executed per LP
-  /// CPU seconds each LP's worker spent inside run_window (thread CPU
-  /// time, so timesharing workers on a small host does not inflate it).
-  /// The max over LPs approximates the run's critical-path execution time
-  /// with one core per LP.
-  std::vector<double> lp_busy_s;
-};
 
 /// Options for buffer-level operations.
 struct BufOpts {
@@ -236,29 +199,17 @@ class Ctx {
 
  private:
   friend class Machine;
-  friend class ::capmem::par::Session;
   friend struct detail::LineOp;
   friend struct detail::RangeOp;
   friend struct detail::WaitU64;
 
   /// Allocation lookup memoized per thread (each simulated thread streams
-  /// over its own buffers, so the one-entry memo hits almost always). Being
-  /// per-Ctx rather than Machine-global also makes it safe under the
-  /// parallel engine, where threads of different logical processes resolve
-  /// allocations concurrently.
+  /// over its own buffers, so the one-entry memo hits almost always).
   const Allocation& allocation_of(Addr a);
 
   Machine* m_ = nullptr;
   int tid_ = -1;
   CpuSlot slot_;
-  // Execution routing: sequential runs point at the machine's own engine,
-  // memory system and attribution ledger (wired by add_thread); an engaged
-  // par::Session repoints each thread at its logical process's replicas
-  // before spawning. The address space itself stays shared (line-granular
-  // disjointness is enforced by the partition affinity guard).
-  Engine* eng_ = nullptr;
-  MemSystem* ms_ = nullptr;
-  obs::attr::Ledger* led_ = nullptr;
   const Allocation* alloc_memo_ = nullptr;
 };
 
@@ -281,21 +232,6 @@ class Machine {
   /// Registers a program pinned to `slot`. Returns its thread id.
   using Program = std::function<Task(Ctx&)>;
   int add_thread(CpuSlot slot, Program program);
-
-  /// Requests the conservative parallel engine for run(). Must be called
-  /// before the run starts. Engagement is re-decided at run() time: vetoed
-  /// configurations (observers, noise, MCDRAM-cache modes, stepped runs —
-  /// see par::engage_veto) silently run the sequential engine instead and
-  /// record the reason in par_report(). An engaged run that violates the
-  /// partition (a thread touches another logical process's tile, home or
-  /// channel) throws AffinityFault; the machine is then unusable — the
-  /// caller rebuilds a fresh Machine and runs it sequentially.
-  void enable_par(const ParOptions& opts) {
-    CAPMEM_CHECK_MSG(!ran_, "enable_par must precede run()");
-    par_opts_ = opts;
-  }
-  /// Engagement outcome of the last run (default-initialized before it).
-  const ParReport& par_report() const { return par_report_; }
 
   /// Runs all registered programs to completion. One-shot.
   void run();
@@ -370,7 +306,6 @@ class Machine {
 
  private:
   friend class Ctx;
-  friend class ::capmem::par::Session;
   friend struct detail::LineOp;
   friend struct detail::RangeOp;
   friend struct detail::WaitU64;
@@ -397,14 +332,6 @@ class Machine {
   const Allocation* last_alloc_ = nullptr;
   bool ran_ = false;       ///< run()/run_until() has started the schedule
   bool finished_ = false;  ///< schedule completed; epilogue already ran
-
-  // Parallel-engine state. When a run engages, the merged engine state of
-  // the logical processes is kept here (the machine's own engine never ran
-  // the schedule; it is settled to the final time so elapsed()/now() stay
-  // correct, and export_state() substitutes the merged state).
-  ParOptions par_opts_;
-  ParReport par_report_;
-  std::unique_ptr<state::EngineState> par_engine_state_;
 };
 
 }  // namespace capmem::sim

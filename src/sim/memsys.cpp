@@ -455,47 +455,9 @@ AccessResult MemSystem::memory_access(int tid, int core, Line line,
   return res;
 }
 
-void MemSystem::affinity_guard(int core, Line line,
-                               const Placement& place) const {
-  const int tile = topo_->tile_of_core(core);
-  const int self = affinity_->self;
-  if ((*affinity_->lp_of_tile)[static_cast<std::size_t>(tile)] != self) {
-    throw AffinityFault("access from tile " + std::to_string(tile) +
-                        " owned by LP " +
-                        std::to_string((*affinity_->lp_of_tile)[static_cast<
-                            std::size_t>(tile)]) +
-                        " reached LP " + std::to_string(self) + " replica");
-  }
-  // Pure address-map resolution: no directory memoization on this path.
-  const MemTarget t = map_.target(line, place);
-  if ((*affinity_->lp_of_tile)[static_cast<std::size_t>(t.home_tile)] !=
-      self) {
-    throw AffinityFault(
-        "line " + std::to_string(line) + " homed on tile " +
-        std::to_string(t.home_tile) + " (LP " +
-        std::to_string((*affinity_->lp_of_tile)[static_cast<std::size_t>(
-            t.home_tile)]) +
-        ") accessed from LP " + std::to_string(self));
-  }
-  const std::vector<int>& chan_lp = t.kind == MemKind::kMCDRAM
-                                        ? *affinity_->lp_of_mcdram_channel
-                                        : *affinity_->lp_of_ddr_channel;
-  if (chan_lp[static_cast<std::size_t>(t.channel)] != self) {
-    throw AffinityFault(
-        "line " + std::to_string(line) + " served by " +
-        (t.kind == MemKind::kMCDRAM ? "mcdram" : "ddr") + " channel " +
-        std::to_string(t.channel) + " (LP " +
-        std::to_string(chan_lp[static_cast<std::size_t>(t.channel)]) +
-        ") accessed from LP " + std::to_string(self));
-  }
-}
-
 AccessResult MemSystem::access(int tid, int core, Line line,
                                const Placement& place, AccessType type,
                                const AccessOpts& opts, Nanos now) {
-  // Parallel-partition guard: prove the access is confined to this LP
-  // before any state is touched (see set_affinity).
-  if (affinity_ != nullptr) affinity_guard(core, line, place);
   // The disabled observability/checker path is this single branch:
   // access_impl is the exact pre-obs access body, so default runs stay
   // byte-identical.

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/address.hpp"
-#include "sim/affinity.hpp"
 #include "sim/cache.hpp"
 #include "sim/coherence.hpp"
 #include "sim/config.hpp"
@@ -182,15 +181,6 @@ class MemSystem {
     tapped_ = tapped_ || attr_ != nullptr;
   }
 
-  /// Installs the parallel-engine partition guard (null to detach). With a
-  /// view attached, every access first proves that the requesting tile, the
-  /// line's home tile, and the serving memory channel all belong to this
-  /// replica's logical process; any violation throws AffinityFault, which
-  /// the parallel session converts into a sequential-fallback rerun. The
-  /// guard is deliberately NOT part of the tapped_ observability gate: it
-  /// must run on the fast path too, and it never mutates state.
-  void set_affinity(const AffinityView* view) { affinity_ = view; }
-
  private:
   // Cost helpers. `legs` is the mesh path length in hops.
   Nanos jitter(Nanos v, bool allow_spike = true);
@@ -245,11 +235,6 @@ class MemSystem {
   void note_coherence(int tid, int core, int tile, Line line, TileState from,
                       TileState to, Nanos now, const char* label);
 
-  // Parallel-partition guard (called only when affinity_ attached). Uses
-  // the pure map_.target() — NOT the memoizing target_of() — so a rejected
-  // access leaves no trace in the directory.
-  void affinity_guard(int core, Line line, const Placement& place) const;
-
   // Fault-injection tap: additive penalty for a mesh path whose endpoint
   // tiles (`c` < 0 when the path has only two) include degraded ones.
   // Callers guard with `!fault_mesh_.empty()`.
@@ -289,7 +274,6 @@ class MemSystem {
   CheckHook* check_ = nullptr;
   bool obs_on_ = false;
   bool tapped_ = false;  ///< obs_on_ || check_ attached (hot-path gate)
-  const AffinityView* affinity_ = nullptr;  ///< parallel partition guard
 
   // Fault-injection state (all empty/false without a FaultPlan; the healthy
   // hot path pays one vector-emptiness / bool branch per guarded site).

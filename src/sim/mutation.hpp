@@ -29,13 +29,6 @@ enum class Kind {
   /// the line dirty — the O-state bookkeeping "loses" the owner, so the
   /// dirty-implies-owner rule trips on the very transition.
   kMosiLostOwner,
-  /// Parallel engine: the coordinator timestamps barrier-release messages
-  /// 1 ns early — equivalently, the lookahead window is one nanosecond too
-  /// small, letting a cross-LP message land inside the last arriver's
-  /// committed horizon. The par::Channel causality check must trip on the
-  /// very release (proving the conservative-window safety check is
-  /// load-bearing, not decorative).
-  kParShrinkLookahead,
 };
 
 #ifdef CAPMEM_MUTATION_SMOKE

@@ -120,12 +120,11 @@ class ChannelPool {
   /// for per-thread queue-delay statistics; not part of exported state.
   Nanos last_queue_ns() const { return last_queue_ns_; }
   /// Exported final-transfer marker: the lexicographic max of (requester
-  /// clock, queue delay) over every transfer so far. Deliberately an
-  /// order-free reduction rather than "whatever ran last" — with engine
-  /// event times nondecreasing the two only differ when several transfers
-  /// share the final instant, and the max makes the exported value
-  /// independent of their execution order, so the parallel engine's per-LP
-  /// pool replicas merge to exactly the sequential value.
+  /// clock, queue delay) over every transfer so far — an order-free
+  /// reduction rather than "whatever ran last". With engine event times
+  /// nondecreasing the two only differ when several transfers share the
+  /// final instant. The marker keeps this form because it is part of the
+  /// CAPSNAP1 snapshot bytes: changing it would change every snapshot id.
   Nanos final_transfer_at() const { return final_at_; }
   Nanos final_queue_ns() const { return final_queue_ns_; }
   const char* name() const { return name_; }

@@ -67,8 +67,8 @@ struct PoolState {
   std::vector<ReservationState> channels;
   std::uint64_t degraded_transfers = 0;
   /// Final-transfer marker: lexicographic max of (requester clock, queue
-  /// delay) over every transfer — an order-free reduction, so it merges
-  /// exactly across the parallel engine's per-LP pool replicas.
+  /// delay) over every transfer (see ChannelPool::final_transfer_at). Part
+  /// of the CAPSNAP1 bytes, so its form is fixed by the snapshot format.
   Nanos last_queue_ns = 0;
   Nanos last_transfer_at = -1;  ///< -1: no transfer yet
 };

@@ -597,9 +597,6 @@ std::unique_ptr<sim::Machine> fork(const sim::state::MachineState& s,
   if (fork_seed != 0) {
     // Perturb the engine RNG with a splitmix64 expansion of the fork seed,
     // so sibling forks draw independent (but per-seed deterministic) noise.
-    // perturb_stream is the shared partitioning scheme: capmem::par seeds
-    // per-LP engine streams with the same function, so fork stream k and
-    // LP stream k are bitwise the same state.
     std::array<std::uint64_t, 4> w = m->engine().rng().state_words();
     perturb_stream(w, fork_seed);
     m->engine().rng().set_state_words(w);

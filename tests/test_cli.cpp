@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "common/check.hpp"
+#include <string>
+
 #include "common/cli.hpp"
 
 namespace capmem {
@@ -41,14 +42,34 @@ TEST(Cli, FlagFalseForms) {
   c.finish();
 }
 
-TEST(Cli, UnknownOptionThrowsOnFinish) {
+// Usage errors print the problem plus the full usage on stderr and exit 2
+// from finish() — never an abort.
+TEST(Cli, UnknownOptionExitsWithUsage) {
   Cli c = make({"--bogus=1"});
-  c.get_int("real", 0);
-  EXPECT_THROW(c.finish(), CheckError);
+  c.get_int("real", 0, "a declared option");
+  EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+              "unknown option --bogus.*usage: prog.*--real");
 }
 
 TEST(Cli, NonDashArgumentRejected) {
-  EXPECT_THROW(make({"positional"}), CheckError);
+  Cli c = make({"positional"});
+  EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+              "unexpected argument 'positional'");
+}
+
+TEST(Cli, MalformedNumbersExitWithUsage) {
+  // The whole value must parse, so a trailing "x" is an error too.
+  for (const std::string bad : {"abc", "5x"}) {
+    const std::string arg = "--iters=" + bad;
+    Cli c = make({arg.c_str()});
+    EXPECT_EQ(c.get_int("iters", 21), 21);
+    EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+                "--iters expects an integer, got '" + bad + "'");
+  }
+  Cli c = make({"--x", "3.25s"});
+  c.get_double("x", 0);
+  EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+              "--x expects a number, got '3.25s'");
 }
 
 TEST(Cli, DoubleParsing) {

@@ -11,11 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "check/differ.hpp"
-#include "par/channel.hpp"
-#include "par/workloads.hpp"
 #include "sim/machine.hpp"
 #include "sim/mutation.hpp"
-#include "snap/snapshot.hpp"
 
 namespace capmem::check {
 namespace {
@@ -181,59 +178,6 @@ TEST(Mutation, LostOwnerInvisibleUnderMesif) {
   MutationGuard guard(Kind::kMosiLostOwner);
   const DiffOutcome out = run_diff(protocol_spec(sim::Protocol::kMesif));
   EXPECT_TRUE(out.ok) << out.report;
-}
-
-// The affine barrier workload on the paper preset, optionally under the
-// conservative parallel engine (lps >= 2; engagement is asserted so a
-// silent sequential fallback cannot fake a pass). Returns the final-state
-// digest.
-std::uint64_t par_barrier_digest(int lps) {
-  par::AffineSpec spec;
-  spec.threads = 8;
-  spec.iters = 2;
-  sim::Machine m(par::affine_config(spec));
-  par::build_affine_compute_barrier(m, spec);
-  if (lps >= 2) m.enable_par({.lps = lps});
-  m.run();
-  if (lps >= 2) {
-    EXPECT_TRUE(m.par_report().engaged) << m.par_report().fallback;
-  }
-  return snap::digest(m.export_state());
-}
-
-TEST(Mutation, ParCleanRunMatchesSequential) {
-  MutationGuard guard(Kind::kNone);
-  EXPECT_EQ(par_barrier_digest(0), par_barrier_digest(4));
-}
-
-TEST(Mutation, CausalityCheckCatchesShrunkLookahead) {
-  // The armed mutation delivers barrier releases 1 ns early — a lookahead
-  // window one nanosecond too small. The last arriver's committed horizon
-  // equals the release time, so the Channel's causality check must trip on
-  // the very first barrier instead of letting the timeline corrupt.
-  MutationGuard guard(Kind::kParShrinkLookahead);
-  EXPECT_THROW(par_barrier_digest(4), par::CausalityError);
-  EXPECT_THROW(par_barrier_digest(2), par::CausalityError);
-}
-
-TEST(Mutation, ShrunkLookaheadInvisibleToSequentialEngine) {
-  // Selectivity: the injection site lives in the parallel coordinator; a
-  // sequential run armed with it must be byte-identical to a clean run.
-  std::uint64_t clean = 0;
-  {
-    MutationGuard guard(Kind::kNone);
-    clean = par_barrier_digest(0);
-  }
-  MutationGuard guard(Kind::kParShrinkLookahead);
-  EXPECT_EQ(par_barrier_digest(0), clean);
-}
-
-TEST(Mutation, CoherenceFaultsDoNotTripTheCausalityCheck) {
-  // Selectivity the other way: a coherence mutation corrupts bookkeeping
-  // identically under both engines — it must neither throw in the parallel
-  // runtime nor break sequential-vs-parallel equivalence.
-  MutationGuard guard(Kind::kSkipVersionBump);
-  EXPECT_EQ(par_barrier_digest(0), par_barrier_digest(4));
 }
 
 }  // namespace
