@@ -3,6 +3,9 @@
 // what dictated the scaled sizes documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/line_table.hpp"
 #include "sim/machine.hpp"
 
@@ -35,6 +38,27 @@ void BM_LineTableFind(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LineTableFind);
+
+// Directory-sized table: ~800k live lines is the stream workload's
+// footprint at 64 threads, far beyond the host caches, probed at random so
+// every find pays the table's real slot + entry misses.
+void BM_LineTableFindStreamFootprint(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 800000;
+  LineTable<LineEntry> table;
+  Rng rng(3);
+  std::vector<std::uint64_t> keys(kKeys);
+  for (auto& k : keys) {
+    k = rng.next_u64() >> 6;
+    table.get_or_create(k);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(keys[i]));
+    i = (i + 7919) % kKeys;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LineTableFindStreamFootprint);
 
 void BM_L1HitAccess(benchmark::State& state) {
   MachineConfig cfg = knl7210();
@@ -73,6 +97,30 @@ void BM_StreamMissAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamMissAccess);
+
+// Every access evicts an L1 line: one core cycles over 4096 lines (8x its
+// 512-line L1, well inside the tile's L2), so after the first pass each
+// read is an own-tile L2 hit whose L1 fill displaces the LRU way.
+void BM_L1EvictionAccess(benchmark::State& state) {
+  MachineConfig cfg = knl7210();
+  cfg.noise.enabled = false;
+  Topology topo(cfg);
+  Rng rng(1);
+  MemSystem mem(cfg, topo, rng);
+  Placement place;
+  constexpr Line kLines = 4096;
+  Nanos now = 0;
+  for (Line line = 0; line < kLines; ++line)
+    now = mem.access(0, 0, line, place, AccessType::kRead, {}, now).finish;
+  Line line = 0;
+  for (auto _ : state) {
+    now = mem.access(0, 0, line, place, AccessType::kRead, {}, now).finish;
+    line = (line + 1) % kLines;
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L1EvictionAccess);
 
 void BM_EngineStepThroughput(benchmark::State& state) {
   // Cost per scheduler round-trip: one task advancing repeatedly.

@@ -40,14 +40,14 @@ void InvariantChecker::check_entry(sim::Line line, const sim::LineEntry& e,
       if (!e.dirty && std::popcount(e.l2_mask) != 1) {
         std::ostringstream os;
         os << "invariant: clean owned line has " << std::popcount(e.l2_mask)
-           << " L2 copies, mask=" << e.l2_mask << " owner=" << e.owner;
+           << " L2 copies, mask=" << e.l2_mask << " owner=" << int{e.owner};
         add(out, line, os.str());
       }
     } else if (std::popcount(e.l2_mask) != 1) {
       std::ostringstream os;
       os << "invariant: owned (" << (e.dirty ? "M" : "E")
          << ") line must have exactly the owner's L2 copy, mask="
-         << e.l2_mask << " owner=" << e.owner;
+         << e.l2_mask << " owner=" << int{e.owner};
       add(out, line, os.str());
     }
     if (!rules_->has_exclusive && !e.dirty)
@@ -128,13 +128,21 @@ void InvariantChecker::sweep(const sim::MemSystem& mem,
       }
     });
   }
+  // Each L1 way also carries its line's directory handle (the eviction
+  // path clears the victim's bit through it): it must resolve to the very
+  // entry the line hashes to.
   for (int c = 0; c < cores_; ++c) {
-    mem.l1_cache(c).for_each_line([&](sim::Line line) {
+    mem.l1_cache(c).for_each_handle([&](sim::Line line, sim::DirHandle h) {
       const sim::LineEntry* e = mem.directory().find(line);
       if (e == nullptr || !((e->l1_mask >> c) & 1ull)) {
         std::ostringstream os;
         os << "invariant: L1 tag in core " << c
            << " with no directory record";
+        add(out, line, os.str());
+      } else if (mem.directory().resolve(h) != e) {
+        std::ostringstream os;
+        os << "invariant: L1 tag in core " << c
+           << " holds a stale directory handle " << h;
         add(out, line, os.str());
       }
     });

@@ -9,10 +9,19 @@
 // interleaved layout. The accessors are defined inline: they sit on the
 // per-access hot path of MemSystem and are called tens of millions of times
 // per simulated second.
+//
+// A cache filled through the handle-carrying insert gets a third plane: one
+// caller-defined 32-bit value per way, stored by insert and handed back for
+// the victim. The L1s keep each resident line's directory handle there, so
+// an L1 eviction updates the victim's directory entry without a hash probe.
+// The plane is allocated on that first insert and left uninitialized (a
+// way's handle is read only while the way is resident, i.e. after insert
+// wrote it), so a cache that is never filled costs nothing for it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,28 +61,20 @@ class SetAssocCache {
   /// Inserts `line` (must not be resident); returns the evicted line, if
   /// the target set was full.
   std::optional<Line> insert(Line line) {
-    const std::size_t base = set_base(line);
-    CAPMEM_DCHECK(!contains(line));
-    // One pass: first empty way, else the LRU victim (stamps are unique, so
-    // the minimum is unambiguous).
-    int empty = -1;
-    int victim = 0;
-    for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] == 0) {
-        empty = w;
-        break;
-      }
-      if (stamps_[base + w] < stamps_[base + victim]) victim = w;
-    }
-    if (empty >= 0) {
-      lines_[base + empty] = line;
-      stamps_[base + empty] = ++clock_;
-      ++resident_;
-      return std::nullopt;
-    }
-    const Line evicted = lines_[base + victim];
-    lines_[base + victim] = line;
-    stamps_[base + victim] = ++clock_;
+    std::optional<Line> evicted;
+    place(line, evicted);
+    return evicted;
+  }
+  /// Same, storing `handle` beside the tag; when a line is evicted, sets
+  /// `victim_handle` to its handle. A cache must be filled through one
+  /// insert form only.
+  std::optional<Line> insert(Line line, std::uint32_t handle,
+                             std::uint32_t& victim_handle) {
+    if (handles_ == nullptr) allocate_handles();
+    std::optional<Line> evicted;
+    const std::size_t way = place(line, evicted);
+    if (evicted) victim_handle = handles_[way];
+    handles_[way] = handle;
     return evicted;
   }
 
@@ -111,7 +112,27 @@ class SetAssocCache {
     }
   }
 
-  /// Checkpoint support (capmem::snap): both planes plus the LRU clock.
+  /// Visits every resident (line, handle) of a cache filled with handles.
+  template <typename Fn>
+  void for_each_handle(Fn&& fn) const {
+    for (std::size_t i = 0; i < stamps_.size(); ++i) {
+      if (stamps_[i] != 0) fn(lines_[i], handles_[i]);
+    }
+  }
+  /// Rewrites every resident way's handle as `fn(line)` (rebuilding the
+  /// derived plane after import_state).
+  template <typename Fn>
+  void rebind_handles(Fn&& fn) {
+    for (std::size_t i = 0; i < stamps_.size(); ++i) {
+      if (stamps_[i] == 0) continue;
+      if (handles_ == nullptr) allocate_handles();
+      handles_[i] = fn(lines_[i]);
+    }
+  }
+
+  /// Checkpoint support (capmem::snap): the tag and LRU planes plus the LRU
+  /// clock. The handle plane is derived data: the owner rebuilds it after an
+  /// import (rebind_handles).
   /// The plane layout is position-deterministic (set index, way order), so
   /// exports are byte-stable across processes. Import requires matching
   /// geometry — snapshots only restore onto the config they captured.
@@ -134,6 +155,38 @@ class SetAssocCache {
   }
 
  private:
+  void allocate_handles() {
+    handles_ = std::make_unique_for_overwrite<std::uint32_t[]>(lines_.size());
+  }
+
+  /// Writes `line` into its set's first empty way, else over the LRU victim
+  /// (reported through `evicted`); returns the way's plane index.
+  std::size_t place(Line line, std::optional<Line>& evicted) {
+    const std::size_t base = set_base(line);
+    CAPMEM_DCHECK(!contains(line));
+    // One pass: first empty way, else the LRU victim (stamps are unique, so
+    // the minimum is unambiguous).
+    int empty = -1;
+    int victim = 0;
+    for (int w = 0; w < ways_; ++w) {
+      if (stamps_[base + w] == 0) {
+        empty = w;
+        break;
+      }
+      if (stamps_[base + w] < stamps_[base + victim]) victim = w;
+    }
+    if (empty >= 0) {
+      lines_[base + empty] = line;
+      stamps_[base + empty] = ++clock_;
+      ++resident_;
+      return base + empty;
+    }
+    evicted = lines_[base + victim];
+    lines_[base + victim] = line;
+    stamps_[base + victim] = ++clock_;
+    return base + victim;
+  }
+
   std::size_t set_index(Line line) const {
     // nsets is a power of two for every real configuration; scaled test
     // machines may produce odd counts, hence the modulo fallback.
@@ -150,6 +203,7 @@ class SetAssocCache {
   std::uint64_t resident_ = 0;
   std::vector<Line> lines_;           // tag plane
   std::vector<std::uint64_t> stamps_;  // LRU plane; 0 = empty way
+  std::unique_ptr<std::uint32_t[]> handles_;  // handle plane, or null
 };
 
 }  // namespace capmem::sim

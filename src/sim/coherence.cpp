@@ -18,14 +18,6 @@ const char* to_string(TileState s) {
   return "?";
 }
 
-void Directory::drop_if_invalid(Line line) {
-  const LineEntry* e = map_.find(line);
-  if (e != nullptr && !e->anywhere()) {
-    if (e == last_entry_) last_entry_ = nullptr;
-    map_.erase(line);
-  }
-}
-
 TileState Directory::state_in_tile(const LineEntry& e, int tile) {
   if (!e.present_in_tile(tile)) return TileState::kI;
   if (e.owner == tile) {

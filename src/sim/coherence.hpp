@@ -41,12 +41,25 @@ static_assert(sizeof(std::uint64_t) * 8 == kMaxCoherenceTiles,
 
 const char* to_string(TileState s);
 
+// One host cache line per entry: the directory pool is 64-byte aligned, so a
+// lookup touches exactly one line of entry data. Tiles are capped at
+// kMaxCoherenceTiles (64), so tile indices fit in int8_t; the snapshot
+// format (state::DirEntryState) keeps its int32 fields.
 struct LineEntry {
   std::uint64_t l2_mask = 0;  ///< tiles with the line in L2
   std::uint64_t l1_mask = 0;  ///< cores with the line in L1
-  int owner = -1;             ///< tile in M/E, -1 otherwise
+
+  /// Memoized physical target. The address map is a pure function of
+  /// (line, placement), and virtual addresses are never reused within a
+  /// machine, so a line's target is fixed for the whole run; resolving it
+  /// once per line instead of once per access keeps the hash-and-route
+  /// arithmetic off the hot path.
+  MemTarget target;
+  bool target_valid = false;
+
+  std::int8_t owner = -1;     ///< tile in M/E, -1 otherwise
+  std::int8_t forward = -1;   ///< forwarder tile when shared, -1 none
   bool dirty = false;         ///< owner copy modified (M) vs clean (E)
-  int forward = -1;           ///< forwarder tile when shared, -1 none
 
   /// CHA serialization point: requests to this line queue here, producing
   /// the paper's linear contention law.
@@ -57,38 +70,61 @@ struct LineEntry {
   /// Bumped on every store; spin-waiting is "wait until version changes".
   std::uint64_t version = 0;
 
-  /// Memoized physical target. The address map is a pure function of
-  /// (line, placement), and virtual addresses are never reused within a
-  /// machine, so a line's target is fixed for the whole run; resolving it
-  /// once per line instead of once per access keeps the hash-and-route
-  /// arithmetic off the hot path.
-  MemTarget target;
-  bool target_valid = false;
-
   bool present_in_tile(int tile) const {
     return (l2_mask >> tile) & 1ull;
   }
   bool anywhere() const { return l2_mask != 0; }
 };
+static_assert(sizeof(LineEntry) == 64,
+              "LineEntry must fill exactly one host cache line");
+
+/// Stable pool index of a directory entry (see LineTable::Handle): valid
+/// from the entry's creation until its line is dropped.
+using DirHandle = LineTable<LineEntry>::Handle;
 
 class Directory {
  public:
+  static constexpr DirHandle kNoEntry = LineTable<LineEntry>::kNoHandle;
+
   /// Entry for `line`, creating an Invalid one if absent. The reference is
   /// stable until this line is dropped.
   LineEntry& entry(Line line) {
+    DirHandle h;
+    return entry(line, h);
+  }
+  /// Same, also returning the entry's handle.
+  LineEntry& entry(Line line, DirHandle& handle) {
     // One-slot cache: spin-waits and RFO sequences hit the same line many
-    // times in a row. Pool references are stable (deque-backed), so the
-    // pointer survives unrelated inserts; it is dropped on erase/clear.
-    if (line == last_line_ && last_entry_ != nullptr) return *last_entry_;
-    last_line_ = line;
-    last_entry_ = &map_.get_or_create(line);
+    // times in a row. Pool entries never move (chunked pool), so the cached
+    // pointer and handle survive unrelated inserts; they are dropped on
+    // erase/clear.
+    if (line != last_line_ || last_entry_ == nullptr) {
+      last_line_ = line;
+      last_handle_ = map_.try_emplace(line).first;
+      last_entry_ = &map_.at(last_handle_);
+    }
+    handle = last_handle_;
     return *last_entry_;
   }
   /// Entry if tracked, nullptr otherwise.
   const LineEntry* find(Line line) const { return map_.find(line); }
   LineEntry* find(Line line) { return map_.find(line); }
-  /// Drops an entry that went globally Invalid (keeps the map compact).
-  void drop_if_invalid(Line line);
+  /// Handle of a tracked line, or kNoEntry.
+  DirHandle find_handle(Line line) const { return map_.find_handle(line); }
+  /// Entry behind a live handle (no liveness check: callers hold handles
+  /// only while the line is tracked).
+  LineEntry& at(DirHandle h) { return map_.at(h); }
+  /// Entry behind an untrusted handle, nullptr when it is outside the pool
+  /// (validators compare the result with find(line)).
+  const LineEntry* resolve(DirHandle h) const {
+    return map_.in_pool(h) ? &map_.at(h) : nullptr;
+  }
+  /// Drops `line`'s entry, which the caller has emptied (globally Invalid
+  /// lines leave the table, keeping it compact).
+  void drop(Line line) {
+    if (line == last_line_) last_entry_ = nullptr;
+    map_.erase(line);
+  }
 
   /// State of `line` as seen by `tile`'s L2.
   TileState state_in_tile(Line line, int tile) const;
@@ -137,6 +173,7 @@ class Directory {
   LineTable<LineEntry> map_;
   Line last_line_ = ~0ull;
   LineEntry* last_entry_ = nullptr;
+  DirHandle last_handle_ = kNoEntry;
   const ProtocolRules* rules_ = &rules_of(Protocol::kMesif);
 };
 

@@ -35,10 +35,20 @@ void LineOp::await_suspend(Task::Handle h) {
   p.engine->requeue(h);
 }
 
+void RangeOp::resolve_allocations() {
+  // Same lookup order as the per-line kernels below (sources first).
+  if (kind == Kind::kCopy || kind == Kind::kTriad)
+    alloc_b = &ctx->allocation_of(b);
+  if (kind == Kind::kTriad) alloc_c = &ctx->allocation_of(c);
+  alloc_a = &ctx->allocation_of(a);
+  space_epoch = m->space_epoch_;
+}
+
 void RangeOp::step(Task::Handle h) {
   RangeOp& op = *this;
   auto& p = h.promise();
   Machine& m = *op.m;
+  if (op.space_epoch != m.space_epoch_) op.resolve_allocations();
   const int tid = op.ctx->tid();
   const int core = op.ctx->core();
   obs::attr::Ledger* const led = m.attr_ledger_.get();
@@ -71,22 +81,20 @@ void RangeOp::step(Task::Handle h) {
     const std::uint64_t off = (op.done_lines + i) * kLineBytes;
     switch (op.kind) {
       case RangeOp::Kind::kRead: {
-        const Allocation& al = op.ctx->allocation_of(op.a);
-        timed(op.a + off, al.place, AccessType::kRead, read_opts);
+        timed(op.a + off, op.alloc_a->place, AccessType::kRead, read_opts);
         break;
       }
       case RangeOp::Kind::kWrite: {
-        const Allocation& al = op.ctx->allocation_of(op.a);
-        timed(op.a + off, al.place, AccessType::kWrite, write_opts);
+        timed(op.a + off, op.alloc_a->place, AccessType::kWrite, write_opts);
         m.engine_.notify(line_of(op.a + off), p.clock, tid);
         break;
       }
       case RangeOp::Kind::kCopy: {
-        const Allocation& src = op.ctx->allocation_of(op.b);
+        const Allocation& src = *op.alloc_b;
         AccessOpts ro = read_opts;
         ro.copy_pair = true;
         timed(op.b + off, src.place, AccessType::kRead, ro);
-        const Allocation& dst = op.ctx->allocation_of(op.a);
+        const Allocation& dst = *op.alloc_a;
         timed(op.a + off, dst.place, AccessType::kWrite, write_opts);
         if (op.move_data && src.has_data && dst.has_data) {
           const std::uint64_t n = std::min<std::uint64_t>(
@@ -98,14 +106,11 @@ void RangeOp::step(Task::Handle h) {
         break;
       }
       case RangeOp::Kind::kTriad: {
-        const Allocation& b = op.ctx->allocation_of(op.b);
-        const Allocation& c = op.ctx->allocation_of(op.c);
-        const Allocation& a = op.ctx->allocation_of(op.a);
         AccessOpts ro = read_opts;
         ro.copy_pair = true;
-        timed(op.b + off, b.place, AccessType::kRead, ro);
-        timed(op.c + off, c.place, AccessType::kRead, ro);
-        timed(op.a + off, a.place, AccessType::kWrite, write_opts);
+        timed(op.b + off, op.alloc_b->place, AccessType::kRead, ro);
+        timed(op.c + off, op.alloc_c->place, AccessType::kRead, ro);
+        timed(op.a + off, op.alloc_a->place, AccessType::kWrite, write_opts);
         m.engine_.notify(line_of(op.a + off), p.clock, tid);
         break;
       }
@@ -331,6 +336,7 @@ void Machine::free(Addr base) {
 
 void Machine::invalidate_alloc_memos() {
   last_alloc_ = nullptr;
+  ++space_epoch_;
   for (Ctx& c : ctxs_) c.alloc_memo_ = nullptr;
 }
 

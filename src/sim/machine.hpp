@@ -93,6 +93,15 @@ struct RangeOp {
   std::uint64_t done_lines = 0;
   std::uint64_t total_lines = 0;
 
+  // Allocations owning a/b/c, resolved once per op instead of once per
+  // line (copy and triad alternate buffers, which defeats the per-thread
+  // one-entry memo). Re-resolved only if the address space changed while
+  // the op was suspended (`space_epoch` vs Machine::space_epoch_).
+  const Allocation* alloc_a = nullptr;
+  const Allocation* alloc_b = nullptr;
+  const Allocation* alloc_c = nullptr;
+  std::uint64_t space_epoch = 0;
+
   bool await_ready() noexcept {
     total_lines = lines_for(bytes);
     return total_lines == 0;
@@ -104,6 +113,9 @@ struct RangeOp {
   /// lines of the kernel. Shared by the initial suspend and the pump
   /// callbacks (machine.cpp).
   void step(Task::Handle h);
+
+ private:
+  void resolve_allocations();
 };
 
 /// Awaiter that spin-waits until a predicate on a 64-bit word holds.
@@ -330,6 +342,9 @@ class Machine {
   std::vector<Nanos> tsc_skew_;
   std::unique_ptr<obs::attr::Ledger> attr_ledger_;
   const Allocation* last_alloc_ = nullptr;
+  /// Bumped on every address-space mutation; in-flight RangeOps compare it
+  /// to know their resolved allocations are still current.
+  std::uint64_t space_epoch_ = 1;
   bool ran_ = false;       ///< run()/run_until() has started the schedule
   bool finished_ = false;  ///< schedule completed; epilogue already ran
 };

@@ -7,29 +7,30 @@ McdramCache::McdramCache(std::uint64_t capacity_bytes)
 
 bool McdramCache::probe(Line line) const {
   if (!enabled()) return false;
-  const auto it = tags_.find(set_of(line));
-  return it != tags_.end() && it->second == line;
+  const Line* tag = tags_.find(set_of(line));
+  return tag != nullptr && *tag == line;
 }
 
 McdramCache::Access McdramCache::access(Line line) {
   CAPMEM_CHECK(enabled());
   Access out;
-  auto [it, inserted] = tags_.try_emplace(set_of(line), line);
+  const auto [h, inserted] = tags_.try_emplace(set_of(line));
+  Line& tag = tags_.at(h);
   if (!inserted) {
-    if (it->second == line) {
+    if (tag == line) {
       out.hit = true;
       return out;
     }
-    out.evicted = it->second;
-    it->second = line;
+    out.evicted = tag;
   }
+  tag = line;
   return out;
 }
 
 void McdramCache::erase(Line line) {
   if (!enabled()) return;
-  const auto it = tags_.find(set_of(line));
-  if (it != tags_.end() && it->second == line) tags_.erase(it);
+  const Line* tag = tags_.find(set_of(line));
+  if (tag != nullptr && *tag == line) tags_.erase(set_of(line));
 }
 
 void McdramCache::clear() { tags_.clear(); }

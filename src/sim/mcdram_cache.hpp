@@ -3,17 +3,19 @@
 // inclusive of all modified L2 lines (write-backs go to MCDRAM), with a
 // snoop before evicting a line that may be modified in an L2.
 //
-// Only touched sets are materialized, so a full-size (16 GB) cache costs
-// host memory proportional to the working set, not the capacity.
+// Only touched sets are materialized (a set -> resident-line LineTable, the
+// same flat table as the directory), so a full-size (16 GB) cache costs
+// host memory proportional to the working set, not the capacity, and a
+// disabled (flat-mode) cache allocates nothing.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/units.hpp"
 #include "sim/address.hpp"
+#include "sim/line_table.hpp"
 #include "sim/state.hpp"
 
 namespace capmem::sim {
@@ -51,15 +53,15 @@ class McdramCache {
 
   std::uint64_t resident_lines() const { return tags_.size(); }
 
-  /// Checkpoint support (capmem::snap). The unordered tag map is sorted by
-  /// set on export so snapshots are byte-stable across processes.
+  /// Checkpoint support (capmem::snap). The hash-ordered tag table is
+  /// sorted by set on export so snapshots are byte-stable across processes.
   state::McdramState export_state() const;
   void import_state(const state::McdramState& s);
 
  private:
   std::uint64_t set_of(Line line) const { return line % sets_count_; }
   std::uint64_t sets_count_;
-  std::unordered_map<std::uint64_t, Line> tags_;  // set -> resident line
+  LineTable<Line> tags_;  // set -> resident line
 };
 
 }  // namespace capmem::sim

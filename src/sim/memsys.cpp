@@ -254,14 +254,16 @@ Nanos MemSystem::core_issue(int core, Nanos now, Nanos occupancy) {
   return start + occupancy;
 }
 
-void MemSystem::l1_insert(int core, Line line, LineEntry& e) {
-  if (l1_[static_cast<std::size_t>(core)].contains(line)) return;
-  const auto evicted = l1_[static_cast<std::size_t>(core)].insert(line);
+void MemSystem::l1_insert(int core, Line line, LineEntry& e, DirHandle h) {
+  SetAssocCache& l1 = l1_[static_cast<std::size_t>(core)];
+  if (l1.contains(line)) return;
+  DirHandle victim = Directory::kNoEntry;
+  const auto evicted = l1.insert(line, h, victim);
   e.l1_mask |= 1ull << core;
-  if (evicted) {
-    LineEntry* ve = dir_.find(*evicted);
-    if (ve != nullptr) ve->l1_mask &= ~(1ull << core);
-  }
+  // An L1-resident line always has a live entry with this core's bit set
+  // (every path that clears the bit also erases the L1 tag), so the victim's
+  // handle is live: clear its bit without a directory probe.
+  if (evicted) dir_.at(victim).l1_mask &= ~(1ull << core);
 }
 
 void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
@@ -295,24 +297,23 @@ void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
     ve->owner = -1;
     ve->dirty = false;
   }
-  dir_.drop_if_invalid(victim);
-  if (check_ != nullptr) {
-    const LineEntry* e = dir_.find(victim);
-    if (e != nullptr) {
-      check_->on_transition(victim, *e, *this);
-    } else {
-      check_->on_drop(victim);
-    }
+  // Drop through the entry already in hand: one erase probe, no re-find.
+  if (ve->anywhere()) {
+    if (check_ != nullptr) check_->on_transition(victim, *ve, *this);
+  } else {
+    dir_.drop(victim);
+    if (check_ != nullptr) check_->on_drop(victim);
   }
 }
 
-void MemSystem::fill_caches(int core, int tile, Line line, LineEntry& e) {
+void MemSystem::fill_caches(int core, int tile, Line line, LineEntry& e,
+                            DirHandle h) {
   if (!l2_[static_cast<std::size_t>(tile)].contains(line)) {
     const auto evicted = l2_[static_cast<std::size_t>(tile)].insert(line);
     e.l2_mask |= 1ull << tile;
     if (evicted) evict_l2_victim(tile, *evicted, 0.0);
   }
-  l1_insert(core, line, e);
+  l1_insert(core, line, e, h);
 }
 
 void MemSystem::invalidate_others(LineEntry& e, Line line, int keep_tile,
@@ -683,7 +684,8 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
     return res;
   }
 
-  LineEntry& e = dir_.entry(line);
+  DirHandle eh;
+  LineEntry& e = dir_.entry(line, eh);
   const bool l1_hit = l1_[static_cast<std::size_t>(core)].lookup(line);
   const bool l2_hit = l2_[static_cast<std::size_t>(tile)].lookup(line);
   CAPMEM_DCHECK(!l1_hit || l2_hit);
@@ -722,7 +724,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
         // downgrade inside the tile (M -> shared within tile).
         res.finish = std::max(now + jitter(cost), core_issue(core, now, 1.0));
       }
-      l1_insert(core, line, e);
+      l1_insert(core, line, e, eh);
       check_entry_p<P>(e);
       note_transition(line, e);
       return res;
@@ -825,7 +827,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
           e.forward = tile;
         }
       }
-      fill_caches(core, tile, line, e);
+      fill_caches(core, tile, line, e, eh);
       check_entry_p<P>(e);
       note_transition(line, e);
       return res;
@@ -861,7 +863,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                                              target.home_tile, e.forward);
           }
           e.forward = tile;  // F migrates to the newest requester
-          fill_caches(core, tile, line, e);
+          fill_caches(core, tile, line, e, eh);
           check_entry_p<P>(e);
           note_transition(line, e);
           return res;
@@ -872,7 +874,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       res = memory_access(tid, core, line, target, type, opts,
                           std::max(now, svc_start), tile);
       if constexpr (P::kHasForward) e.forward = tile;
-      fill_caches(core, tile, line, e);
+      fill_caches(core, tile, line, e, eh);
       check_entry_p<P>(e);
       note_transition(line, e);
       return res;
@@ -886,7 +888,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       e.owner = tile;
       e.dirty = false;
     }
-    fill_caches(core, tile, line, e);
+    fill_caches(core, tile, line, e, eh);
     check_entry_p<P>(e);
     note_transition(line, e);
     return res;
@@ -926,7 +928,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                      "upgrade");
     }
     e.dirty = true;
-    l1_insert(core, line, e);
+    l1_insert(core, line, e, eh);
     if (!mutation::is(mutation::Kind::kSkipVersionBump)) e.version++;
     e.last_write_visible = res.finish;
     check_entry_p<P>(e);
@@ -1030,7 +1032,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
   e.owner = tile;
   e.dirty = true;
   e.forward = -1;
-  fill_caches(core, tile, line, e);
+  fill_caches(core, tile, line, e, eh);
   // Only this core's L1 may keep the copy after a write.
   for (int c = topo_->first_core_of_tile(tile);
        c < topo_->first_core_of_tile(tile) + cfg_->cores_per_tile; ++c) {
@@ -1047,22 +1049,14 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
 }
 
 void MemSystem::flush_line(Line line, bool drop_mcdram_cache) {
-  LineEntry* e = dir_.find(line);
-  if (e != nullptr) {
-    for (int t = 0; t < topo_->active_tiles(); ++t) {
-      if ((e->l2_mask >> t) & 1ull)
-        l2_[static_cast<std::size_t>(t)].erase(line);
-    }
-    for (int c = 0; c < cfg_->cores(); ++c) {
-      if ((e->l1_mask >> c) & 1ull)
-        l1_[static_cast<std::size_t>(c)].erase(line);
-    }
-    e->l2_mask = 0;
-    e->l1_mask = 0;
-    e->owner = -1;
-    e->forward = -1;
-    e->dirty = false;
-    dir_.drop_if_invalid(line);
+  // One find, then walk only the set sharer/presence bits, then drop the
+  // entry (a flushed line is globally Invalid).
+  if (const LineEntry* e = dir_.find(line)) {
+    for (std::uint64_t m = e->l2_mask; m != 0; m &= m - 1)
+      l2_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
+    for (std::uint64_t m = e->l1_mask; m != 0; m &= m - 1)
+      l1_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
+    dir_.drop(line);
     if (check_ != nullptr) check_->on_flush(line);
   }
   if (drop_mcdram_cache) mc_cache_.erase(line);

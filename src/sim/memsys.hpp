@@ -208,11 +208,12 @@ class MemSystem {
                              int req_tile);
 
   // State maintenance.
-  void fill_caches(int core, int tile, Line line, LineEntry& e);
+  // `h` is `e`'s directory handle; the L1 keeps it beside the tag.
+  void fill_caches(int core, int tile, Line line, LineEntry& e, DirHandle h);
   void evict_l2_victim(int tile, Line victim, Nanos now);
   void invalidate_others(LineEntry& e, Line line, int keep_tile, int tid,
                          Nanos now);
-  void l1_insert(int core, Line line, LineEntry& e);
+  void l1_insert(int core, Line line, LineEntry& e, DirHandle h);
 
   // Validation taps (called only when check_ attached).
   void note_transition(Line line, const LineEntry& e) {

@@ -19,7 +19,9 @@ namespace capmem::sim {
 state::McdramState McdramCache::export_state() const {
   state::McdramState s;
   s.tags.reserve(tags_.size());
-  for (const auto& [set, line] : tags_) s.tags.push_back({set, line});
+  tags_.for_each([&s](std::uint64_t set, const Line& line) {
+    s.tags.push_back({set, line});
+  });
   std::sort(s.tags.begin(), s.tags.end());
   return s;
 }
@@ -35,7 +37,9 @@ void McdramCache::import_state(const state::McdramState& s) {
     CAPMEM_CHECK_MSG(set < sets_count_, "MCDRAM-cache tag set "
                                             << set << " out of range (have "
                                             << sets_count_ << " sets)");
-    tags_.emplace(set, line);
+    // First record per set wins (a duplicated set never overwrites).
+    const auto [h, inserted] = tags_.try_emplace(set);
+    if (inserted) tags_.at(h) = line;
   }
 }
 
@@ -68,11 +72,18 @@ void Directory::import_state(const std::vector<state::DirEntryState>& entries) {
   clear();
   last_line_ = ~0ull;
   for (const state::DirEntryState& d : entries) {
+    // LineEntry stores tile indices as int8_t; refuse values that would not
+    // survive the narrowing instead of silently wrapping them.
+    CAPMEM_CHECK_MSG(d.owner >= -1 && d.owner < kMaxCoherenceTiles &&
+                         d.forward >= -1 && d.forward < kMaxCoherenceTiles,
+                     "directory entry for line "
+                         << d.line << " names tile owner=" << d.owner
+                         << " forward=" << d.forward << " out of range");
     LineEntry& e = map_.get_or_create(d.line);
     e.l2_mask = d.l2_mask;
     e.l1_mask = d.l1_mask;
-    e.owner = d.owner;
-    e.forward = d.forward;
+    e.owner = static_cast<std::int8_t>(d.owner);
+    e.forward = static_cast<std::int8_t>(d.forward);
     e.dirty = d.dirty != 0;
     e.service_available = d.service_available;
     e.last_write_visible = d.last_write_visible;
@@ -192,6 +203,32 @@ void MemSystem::import_state(const state::MemSysState& s) {
   mcdram_.import_state(s.mcdram);
   for (std::size_t i = 0; i < l1_.size(); ++i) l1_[i].import_state(s.l1[i]);
   for (std::size_t i = 0; i < l2_.size(); ++i) l2_[i].import_state(s.l2[i]);
+  // Sharer/presence bits index the per-tile and per-core arrays directly
+  // (flush_line walks them), so none may name a tile or core this machine
+  // does not have.
+  const int tiles = static_cast<int>(l2_.size());
+  const int cores = static_cast<int>(l1_.size());
+  dir_.for_each([&](Line line, const LineEntry& e) {
+    CAPMEM_CHECK_MSG((tiles >= 64 || (e.l2_mask >> tiles) == 0) &&
+                         (cores >= 64 || (e.l1_mask >> cores) == 0),
+                     "directory entry for line "
+                         << line << " names tiles/cores beyond this machine");
+  });
+  // The L1 handle planes are derived data: resolve every resident L1 line
+  // to its directory entry. An L1 copy the directory does not list for that
+  // core is an inconsistent snapshot; refuse it rather than keep a handle
+  // that names no live entry.
+  for (std::size_t c = 0; c < l1_.size(); ++c) {
+    l1_[c].rebind_handles([&](Line line) {
+      const DirHandle h = dir_.find_handle(line);
+      CAPMEM_CHECK_MSG(
+          h != Directory::kNoEntry && ((dir_.at(h).l1_mask >> c) & 1ull),
+          "snapshot L1 of core " << c << " holds line " << line
+                                 << " but the directory does not list it "
+                                    "there");
+      return h;
+    });
+  }
   for (std::size_t i = 0; i < core_ports_.size(); ++i) {
     core_ports_[i].import_state(s.core_ports[i]);
   }

@@ -66,16 +66,18 @@ TEST(Directory, InvariantForwarderMustBeSharer) {
   EXPECT_THROW(d.check_invariants(6), CheckError);
 }
 
-TEST(Directory, DropIfInvalidCompacts) {
+TEST(Directory, DropCompactsAndResetsMemo) {
   Directory d;
-  d.entry(7);
-  EXPECT_EQ(d.tracked_lines(), 1u);
-  d.drop_if_invalid(7);
+  d.entry(7).version = 5;  // line 7 is now the one-slot memo
+  d.entry(8);
+  EXPECT_EQ(d.tracked_lines(), 2u);
+  d.drop(8);
+  d.entry(7);  // memo hit for 7 again
+  d.drop(7);
   EXPECT_EQ(d.tracked_lines(), 0u);
-  LineEntry& e = d.entry(8);
-  e.l2_mask = 1;
-  e.owner = 0;
-  d.drop_if_invalid(8);
+  EXPECT_EQ(d.find(7), nullptr);
+  // A dropped memoized line comes back as a fresh Invalid entry.
+  EXPECT_EQ(d.entry(7).version, 0u);
   EXPECT_EQ(d.tracked_lines(), 1u);
 }
 

@@ -313,6 +313,52 @@ TEST(SnapFork, MidRunStateRefusesDirectInstall) {
       << "coroutine frames cannot be deserialized; install must refuse";
 }
 
+/// The L1 directory handles are rebuilt on install. A state whose L1 holds a
+/// line the directory does not list for that core (a cleared l1_mask bit,
+/// or no entry at all) must be refused with a structured error, never
+/// leave a handle that names no live entry; so must presence bits beyond
+/// the machine's cores.
+TEST(SnapFork, InconsistentL1ResidencyIsRefused) {
+  const MachineConfig cfg = sim::machine_preset(
+      "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
+  Machine warm(cfg);
+  const sim::Addr buf = warm.alloc("warm", 16 * kLineBytes, {}, true);
+  warm.add_thread({.core = 0, .smt = 0}, [buf](sim::Ctx& ctx) -> sim::Task {
+    for (int i = 0; i < 8; ++i) {
+      co_await ctx.read_u64(buf + static_cast<std::uint64_t>(i) * kLineBytes);
+    }
+  });
+  warm.run();
+  const sim::state::MachineState s = capture(warm);
+  ASSERT_NE(s.quiescent, 0);
+  EXPECT_NO_THROW(fork(s, cfg, 0));
+
+  std::size_t held = s.mem.directory.size();
+  for (std::size_t i = 0; i < s.mem.directory.size(); ++i) {
+    if (s.mem.directory[i].l1_mask != 0) {
+      held = i;
+      break;
+    }
+  }
+  ASSERT_LT(held, s.mem.directory.size()) << "no L1-resident line captured";
+
+  sim::state::MachineState bit_cleared = s;
+  std::uint64_t& mask = bit_cleared.mem.directory[held].l1_mask;
+  mask &= mask - 1;  // drop the lowest core's presence bit
+  EXPECT_THROW(fork(bit_cleared, cfg, 0), CheckError);
+
+  sim::state::MachineState entry_gone = s;
+  entry_gone.mem.directory.erase(entry_gone.mem.directory.begin() +
+                                 static_cast<std::ptrdiff_t>(held));
+  EXPECT_THROW(fork(entry_gone, cfg, 0), CheckError);
+
+  // Presence bits index the per-core L1 array: a bit naming a core this
+  // machine does not have is refused too.
+  sim::state::MachineState phantom_core = s;
+  phantom_core.mem.directory[held].l1_mask |= 1ull << 63;
+  EXPECT_THROW(fork(phantom_core, cfg, 0), CheckError);
+}
+
 /// Forked experiments under the recovery layer: a trial that aborts after
 /// restore is retried/quarantined exactly like a cold-start job, and the
 /// BatchReport is byte-identical at any worker count.
