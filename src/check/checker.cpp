@@ -49,9 +49,9 @@ void Checker::on_transition(sim::Line line, const sim::LineEntry& entry,
   if (!v.empty()) absorb(std::move(v));
 }
 
-void Checker::on_dir_lookup(sim::Line line, const sim::Placement& place,
-                            int home_tile) {
-  (void)place;  // one line belongs to one allocation: the line keys the map
+void Checker::on_dir_lookup(int /*tid*/, sim::Line line, int home_tile,
+                            Nanos /*t*/, Nanos /*start*/,
+                            Nanos /*service*/) {
   std::vector<Violation> v;
   invariants_.note_home(line, home_tile, v);
   if (!v.empty()) absorb(std::move(v));

@@ -1,5 +1,5 @@
-// Checker: the CheckHook implementation tying the oracle and the MESIF
-// invariant sweeps to one Machine.
+// Checker: the sim::Observer tying the oracle and the MESIF invariant
+// sweeps to one Machine.
 //
 // Attach by setting MachineConfig::check before constructing the Machine:
 //
@@ -25,7 +25,7 @@
 #include "check/oracle.hpp"
 #include "check/violation.hpp"
 #include "sim/config.hpp"
-#include "sim/hooks.hpp"
+#include "sim/observer.hpp"
 
 namespace capmem::obs {
 class TraceSink;
@@ -33,7 +33,7 @@ class TraceSink;
 
 namespace capmem::check {
 
-class Checker final : public sim::CheckHook {
+class Checker final : public sim::Observer {
  public:
   struct Options {
     /// Full cross-structure sweep every Nth transition (entry-local checks
@@ -46,12 +46,12 @@ class Checker final : public sim::CheckHook {
   explicit Checker(const sim::MachineConfig& cfg);
   Checker(const sim::MachineConfig& cfg, Options opt);
 
-  // --- sim::CheckHook ---
+  // --- sim::Observer ---
   void on_access(const sim::AccessRecord& rec) override;
   void on_transition(sim::Line line, const sim::LineEntry& entry,
                      const sim::MemSystem& mem) override;
-  void on_dir_lookup(sim::Line line, const sim::Placement& place,
-                     int home_tile) override;
+  void on_dir_lookup(int tid, sim::Line line, int home_tile, Nanos t,
+                     Nanos start, Nanos service) override;
   void on_flush(sim::Line line) override;
   void on_drop(sim::Line line) override;
   void on_reset() override;

@@ -3,7 +3,7 @@
 // The simulator commits stores in arrival order: coroutine bodies execute
 // in nondecreasing virtual time, and a store's value lands in the address
 // space at issue, before the access latency elapses. The oracle replays the
-// memory system's access stream (CheckHook::on_access order, which is that
+// memory system's access stream (Observer::on_access order, which is that
 // same arrival order) against a flat model with no caches, no directory and
 // no timing, predicting
 //   * the directory version counter of every line (writes bump it by
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "check/violation.hpp"
-#include "sim/hooks.hpp"
+#include "sim/observer.hpp"
 
 namespace capmem::check {
 

@@ -100,7 +100,8 @@ sim::MachineConfig workload_config(const WorkloadSpec& spec) {
 }
 
 WorkloadRun::WorkloadRun(const WorkloadSpec& spec, Checker* checker,
-                         obs::TraceSink* trace, obs::attr::Sink* attr)
+                         obs::TraceSink* trace, obs::attr::Sink* attr,
+                         obs::Registry* metrics)
     : spec_(spec), checker_(checker) {
   using namespace capmem::sim;
   CAPMEM_CHECK(spec_.threads >= 1 && spec_.data_lines >= 1 &&
@@ -117,6 +118,7 @@ WorkloadRun::WorkloadRun(const WorkloadSpec& spec, Checker* checker,
   cfg.check = checker_;
   cfg.trace = trace;
   cfg.attr = attr;
+  cfg.metrics = metrics;
   if (checker_ != nullptr) checker_->set_trace(trace);
 
   ops_ = generate_ops(spec_);
@@ -255,8 +257,9 @@ WorkloadResult WorkloadRun::take_result() {
 }
 
 WorkloadResult run_workload(const WorkloadSpec& spec, Checker* checker,
-                            obs::TraceSink* trace, obs::attr::Sink* attr) {
-  WorkloadRun run(spec, checker, trace, attr);
+                            obs::TraceSink* trace, obs::attr::Sink* attr,
+                            obs::Registry* metrics) {
+  WorkloadRun run(spec, checker, trace, attr, metrics);
   run.run_until(0);
   return run.take_result();
 }

@@ -33,6 +33,7 @@ class Machine;
 
 namespace capmem::obs {
 class TraceSink;
+class Registry;
 }  // namespace capmem::obs
 
 namespace capmem::obs::attr {
@@ -122,12 +123,13 @@ struct WorkloadResult {
 class WorkloadRun {
  public:
   /// Builds the machine, allocates the buffers and registers the thread
-  /// programs; nothing executes until run_until. Hook semantics match
+  /// programs; nothing executes until run_until. Observer semantics match
   /// run_workload: `checker` (nullable) is attached as the machine's check
-  /// hook, `trace`/`attr` are pure observers.
+  /// observer, `trace`/`attr`/`metrics` are pure observers.
   WorkloadRun(const WorkloadSpec& spec, Checker* checker,
               obs::TraceSink* trace = nullptr,
-              obs::attr::Sink* attr = nullptr);
+              obs::attr::Sink* attr = nullptr,
+              obs::Registry* metrics = nullptr);
   WorkloadRun(const WorkloadRun&) = delete;
   WorkloadRun& operator=(const WorkloadRun&) = delete;
   ~WorkloadRun();
@@ -175,9 +177,11 @@ class WorkloadRun {
 /// final memory. `checker` (nullable) is attached as MachineConfig::check
 /// and final-swept after the run; `trace` (nullable) receives the machine's
 /// trace events and the checker's violation instants; `attr` (nullable)
-/// collects the machine's virtual-time attribution ledger.
+/// collects the machine's virtual-time attribution ledger; `metrics`
+/// (nullable) receives its end-of-run component metrics.
 WorkloadResult run_workload(const WorkloadSpec& spec, Checker* checker,
                             obs::TraceSink* trace = nullptr,
-                            obs::attr::Sink* attr = nullptr);
+                            obs::attr::Sink* attr = nullptr,
+                            obs::Registry* metrics = nullptr);
 
 }  // namespace capmem::check

@@ -23,6 +23,16 @@ std::optional<T> parse_whole(const std::string& v, Parse parse) {
 
 }  // namespace
 
+const std::string* Cli::value_of(const std::string& name) {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return nullptr;
+  if (bare_.count(name) != 0) {
+    errors_.push_back("--" + name + " expects a value");
+    return nullptr;
+  }
+  return &it->second;
+}
+
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "prog";
   for (int i = 1; i < argc; ++i) {
@@ -40,10 +50,13 @@ Cli::Cli(int argc, const char* const* argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      bare_.erase(arg.substr(0, eq));
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
+      bare_.erase(arg);
     } else {
       values_[arg] = "true";  // bare flag
+      bare_.insert(arg);
     }
   }
 }
@@ -51,21 +64,20 @@ Cli::Cli(int argc, const char* const* argv) {
 std::string Cli::get_string(const std::string& name, std::string def,
                             const std::string& help) {
   declared_[name] = {help, def};
-  const auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = value_of(name);
+  return v == nullptr ? def : *v;
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
                           const std::string& help) {
   declared_[name] = {help, std::to_string(def)};
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* raw = value_of(name);
+  if (raw == nullptr) return def;
   const auto v = parse_whole<long long>(
-      it->second,
+      *raw,
       [](const char* s, char** end) { return std::strtoll(s, end, 10); });
   if (!v) {
-    errors_.push_back("--" + name + " expects an integer, got '" +
-                      it->second + "'");
+    errors_.push_back("--" + name + " expects an integer, got '" + *raw + "'");
     return def;
   }
   return *v;
@@ -74,14 +86,12 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
 double Cli::get_double(const std::string& name, double def,
                        const std::string& help) {
   declared_[name] = {help, std::to_string(def)};
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* raw = value_of(name);
+  if (raw == nullptr) return def;
   const auto v = parse_whole<double>(
-      it->second,
-      [](const char* s, char** end) { return std::strtod(s, end); });
+      *raw, [](const char* s, char** end) { return std::strtod(s, end); });
   if (!v) {
-    errors_.push_back("--" + name + " expects a number, got '" + it->second +
-                      "'");
+    errors_.push_back("--" + name + " expects a number, got '" + *raw + "'");
     return def;
   }
   return *v;

@@ -1,7 +1,8 @@
 // Minimal command-line option parsing for the bench and example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--flag`. Usage
-// errors (unknown options, positional arguments, malformed numbers) make
+// errors (unknown options, positional arguments, malformed numbers, a value
+// option given bare: last in argv or followed by another `--x`) make
 // finish() print them with the full usage and exit(2), so typos in sweep
 // scripts fail loudly without a crash.
 #pragma once
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,8 @@ class Cli {
   /// construction and finish()).
   Cli(int argc, const char* const* argv);
 
-  /// Declares and reads a string option with a default.
+  /// Declares and reads a string option with a default. The string, int
+  /// and double readers reject a bare `--name` ("expects a value").
   std::string get_string(const std::string& name, std::string def,
                          const std::string& help = {});
   /// Declares and reads an integer option with a default. A value that is
@@ -63,9 +66,13 @@ class Cli {
     std::string def;
   };
   void print_usage(std::ostream& os) const;
+  /// Value of a string/number option: null when absent, and null plus a
+  /// usage error when it was given bare (only get_flag accepts that).
+  const std::string* value_of(const std::string& name);
 
   std::string program_;
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  ///< options given without a value
   std::map<std::string, Decl> declared_;
   std::vector<std::string> errors_;
   bool help_requested_ = false;

@@ -88,17 +88,13 @@ void Ledger::ensure_task(int tid) {
   }
 }
 
-void Ledger::on_spawn(int tid, double clock) {
+void Ledger::on_spawn(int tid, int tile, double clock) {
   ensure_task(tid);
   const Ticks t = to_ticks(clock);
   mirror_[static_cast<std::size_t>(tid)] = t;
   spawn_[static_cast<std::size_t>(tid)] = t;
-}
-
-void Ledger::set_task_tile(int tid, int tile) {
-  ensure_task(tid);
-  if (tile < 0 || tile >= tiles_) tile = 0;
-  task_tile_[static_cast<std::size_t>(tid)] = tile;
+  task_tile_[static_cast<std::size_t>(tid)] =
+      tile < 0 || tile >= tiles_ ? 0 : tile;
 }
 
 void Ledger::on_wake_edge(int woken, int writer, std::uint64_t key,

@@ -2,10 +2,10 @@
 // every simulated nanosecond to a category and every message to a traffic
 // counter, plus a critical-path extractor for collectives.
 //
-// Attribution is an observer behind the same nullable-hook seam as tracing
-// and metrics: a Machine owns one Ledger when MachineConfig::attr is set,
-// the hot path pays one pointer test per charge site when detached, and the
-// Ledger never steers the simulation.
+// Attribution rides the simulator's one observer seam: a Machine's Fanout
+// (sim/fanout.hpp) owns one Ledger when MachineConfig::attr is set and feeds
+// it the engine's and awaiters' clock charges and the memory system's
+// traffic events; the Ledger never steers the simulation.
 //
 // Exactness. `Nanos` is a double, and double addition is not associative,
 // so "sum of categories == virtual time" cannot be checked in floating
@@ -104,8 +104,8 @@ class Ledger {
   explicit Ledger(int tiles);
 
   // --- task lifecycle -----------------------------------------------------
-  void on_spawn(int tid, double clock);
-  void set_task_tile(int tid, int tile);
+  /// Task `tid` starts at `clock`; its cells are charged to `tile`.
+  void on_spawn(int tid, int tile, double clock);
 
   /// Charge ticks(to) - ticks(from) of task `tid` to `cat`. `from` must be
   /// the task clock the previous charge left it at; any gap is charged to

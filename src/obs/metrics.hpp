@@ -1,8 +1,9 @@
 // Component metrics: counters, gauges and fixed-bucket log2 histograms.
 //
-// The hot-path contract: simulator components record into their *own*
-// fixed-size Log2Hist / counter fields (no locks, no allocations), and a
-// Machine merges them into the shared Registry once, at the end of its run.
+// The hot-path contract: a Machine's observer (sim/fanout.hpp) records
+// into its *own* fixed-size Log2Hist / counter fields (no locks, no
+// allocations) and merges them into the shared Registry once, at the end of
+// the run.
 // Registry operations take a mutex and use string keys — they are end-of-run
 // and harness-level operations, never per-access ones.
 //

@@ -1,10 +1,9 @@
-// Virtual-time event tracing: the observability seam of the simulator.
+// Virtual-time event tracing.
 //
-// The simulator's components (engine, memory system, channel pools) emit
-// typed TraceEvents through a nullable TraceSink pointer. The disabled path
-// is a single branch on that pointer — default runs execute zero tracing
-// code beyond it, so virtual-time results are byte-identical with tracing
-// on or off (sinks observe, never steer).
+// A Machine's observer (sim/fanout.hpp) turns the simulator's events into
+// typed TraceEvents for the TraceSink named by MachineConfig::trace. Sinks
+// observe, never steer: virtual-time results are byte-identical with
+// tracing on or off.
 //
 // ChromeTraceWriter serializes events to Chrome trace-event JSON (loadable
 // in Perfetto / chrome://tracing): one track per simulated task, one per

@@ -31,7 +31,7 @@ struct FaultPlan;
 
 namespace capmem::sim {
 
-class CheckHook;
+class Observer;
 
 /// KNL cluster (NUMA-exposure) modes, paper §II.D.
 enum class ClusterMode { kA2A, kHemisphere, kQuadrant, kSNC2, kSNC4 };
@@ -217,24 +217,23 @@ struct MachineConfig {
 
   std::uint64_t seed = 42;
 
-  // --- observability hooks (non-owning, not part of machine identity) ---
-  // Machines built from this config emit virtual-time trace events into
-  // `trace` and merge end-of-run component metrics into `metrics`. Both are
-  // pure observers: null by default, and attaching them never changes
-  // virtual-time results (the disabled path is a single pointer test).
+  // --- observers (non-owning, not part of machine identity) ---
+  // When any of these is set, a Machine built from this config builds one
+  // Fanout (sim/fanout.hpp) on the simulator's observer seam, which feeds
+  // each of them. All are null by default and pure: any subset leaves
+  // virtual-time results and snapshot bytes unchanged, and detached costs
+  // one branch per event site.
+  /// Trace sink for the virtual-time events.
   obs::TraceSink* trace = nullptr;
+  /// Registry for the end-of-run component metrics.
   obs::Registry* metrics = nullptr;
-  /// Validation hook (capmem::check): observes every access, MESIF
-  /// transition and home-CHA resolution. Same contract as the observability
-  /// sinks — null by default, never steers, single-branch disabled path.
-  CheckHook* check = nullptr;
-  /// Attribution aggregator (capmem::obs::attr): when set, the Machine owns
-  /// a per-run Ledger that charges every simulated nanosecond to a
-  /// (category, tile) cell and every message to a traffic counter, then
-  /// merges it here at the end of run() — where the exact conservation
-  /// invariant (sum of cells == sum of task lifetimes, in integer
-  /// picosecond ticks) is enforced. Same observer contract as trace/
-  /// metrics: null by default, never steers, single-branch disabled path.
+  /// Validation observer (capmem::check::Checker): receives every event.
+  Observer* check = nullptr;
+  /// Attribution aggregator (capmem::obs::attr): each run's Ledger, which
+  /// charges every simulated nanosecond to a (category, tile) cell and every
+  /// message to a traffic counter, is merged here at the end of run() —
+  /// where the exact conservation invariant (sum of cells == sum of task
+  /// lifetimes, in integer picosecond ticks) is enforced.
   obs::attr::Sink* attr = nullptr;
   /// Fault-injection plan (capmem::fault): deterministic degraded-silicon
   /// penalties on mesh paths, channels and directory lines. Unlike the

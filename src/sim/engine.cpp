@@ -4,43 +4,17 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "obs/attr.hpp"
-#include "obs/trace.hpp"
+#include "sim/observer.hpp"
 
 namespace capmem::sim {
-
-namespace {
-
-// One non-inlined helper per event so the enabled-path code stays out of the
-// scheduler loop; callers guard with a single `if (trace_)` branch.
-void emit_task_event(obs::TraceSink* sink, obs::EventKind kind, Nanos t,
-                     int tid, std::uint64_t line = 0, Nanos dur = 0) {
-  obs::TraceEvent e;
-  e.kind = kind;
-  e.t = t;
-  e.dur = dur;
-  e.tid = tid;
-  e.line = line;
-  sink->on_event(e);
-}
-
-void emit_sync_release(obs::TraceSink* sink, Nanos t, int arrivals) {
-  obs::TraceEvent e;
-  e.kind = obs::EventKind::kSyncRelease;
-  e.t = t;
-  e.a = arrivals;
-  sink->on_event(e);
-}
-
-}  // namespace
 
 void Advance::await_suspend(Task::Handle h) const {
   CAPMEM_DCHECK(dt >= 0);
   auto& p = h.promise();
   const Nanos from = p.clock;
   p.clock += dt;
-  if (obs::attr::Ledger* a = p.engine->attr()) {
-    a->charge(p.tid, obs::attr::TimeCat::kCompute, from, p.clock);
+  if (Observer* o = p.engine->observer()) {
+    o->on_charge(p.tid, obs::attr::TimeCat::kCompute, from, p.clock);
   }
   p.engine->requeue(h);
 }
@@ -49,8 +23,8 @@ void AdvanceTo::await_suspend(Task::Handle h) const {
   auto& p = h.promise();
   const Nanos from = p.clock;
   p.clock = std::max(p.clock, t);
-  if (obs::attr::Ledger* a = p.engine->attr()) {
-    a->charge(p.tid, obs::attr::TimeCat::kTimerWait, from, p.clock);
+  if (Observer* o = p.engine->observer()) {
+    o->on_charge(p.tid, obs::attr::TimeCat::kTimerWait, from, p.clock);
   }
   p.engine->requeue(h);
 }
@@ -78,7 +52,6 @@ int Engine::spawn(Task task, Nanos start) {
   tasks_.push_back(h);
   run_q_.push(start, task_payload(h));
   ++live_;
-  if (attr_) attr_->on_spawn(tid, start);
   return tid;
 }
 
@@ -114,10 +87,7 @@ void Engine::park(std::uint64_t key, Task::Handle h,
   const Nanos at = h.promise().clock;
   park_filter_ |= filter_bit(key);
   parked_.get_or_create(key).push_back(Waiter{h, std::move(try_wake), at});
-  if (trace_) {
-    emit_task_event(trace_, obs::EventKind::kTaskPark, at, h.promise().tid,
-                    key);
-  }
+  if (obs_) obs_->on_park(h.promise().tid, key, at);
 }
 
 void Engine::notify(std::uint64_t key, Nanos visible, int writer_tid) {
@@ -129,15 +99,9 @@ void Engine::notify(std::uint64_t key, Nanos visible, int writer_tid) {
   for (std::size_t i = 0; i < waiters->size();) {
     if ((*waiters)[i].try_wake(visible)) {
       Task::Handle h = (*waiters)[i].h;
-      if (trace_) {
-        // The parked interval as one slice: park time to the woken clock.
-        emit_task_event(trace_, obs::EventKind::kTaskUnpark,
-                        (*waiters)[i].parked_at, h.promise().tid, key,
-                        h.promise().clock - (*waiters)[i].parked_at);
-      }
-      if (attr_) {
-        attr_->on_wake_edge(h.promise().tid, writer_tid, key,
-                            h.promise().clock);
+      if (obs_) {
+        obs_->on_unpark(h.promise().tid, key, (*waiters)[i].parked_at,
+                        h.promise().clock, writer_tid);
       }
       requeue(h);
       waiters->erase(i);  // ordered erase: wakeups stay FIFO within a key
@@ -167,16 +131,11 @@ void Engine::release_sync() {
   }
   for (Task::Handle w : sync_q_) {
     auto& p = w.promise();
-    if (attr_) {
-      attr_->charge(p.tid, obs::attr::TimeCat::kBarrierWait, p.clock, tmax);
-      attr_->on_sync_edge(p.tid, last_tid, tmax);
-    }
+    if (obs_) obs_->on_sync_wait(p.tid, p.clock, tmax, last_tid);
     p.clock = tmax;
     requeue(w);
   }
-  if (trace_) {
-    emit_sync_release(trace_, tmax, static_cast<int>(sync_q_.size()));
-  }
+  if (obs_) obs_->on_sync_release(tmax, static_cast<int>(sync_q_.size()));
   sync_q_.clear();
 }
 
@@ -192,10 +151,7 @@ void Engine::finish(Task::Handle h) {
     running_ = false;
     std::rethrow_exception(h.promise().error);
   }
-  if (trace_) {
-    emit_task_event(trace_, obs::EventKind::kTaskFinish, h.promise().clock,
-                    h.promise().tid);
-  }
+  if (obs_) obs_->on_finish(h.promise().tid, h.promise().clock);
   // Release a barrier that was waiting only on still-live tasks.
   if (!sync_q_.empty() && static_cast<int>(sync_q_.size()) >= live_) {
     release_sync();
@@ -220,10 +176,7 @@ bool Engine::run_until(std::uint64_t step_limit) {
     if ((e.payload & 1) == 0) {
       const auto h =
           Task::Handle::from_address(reinterpret_cast<void*>(e.payload));
-      if (trace_) {
-        emit_task_event(trace_, obs::EventKind::kTaskResume, e.t,
-                        h.promise().tid);
-      }
+      if (obs_) obs_->on_resume(h.promise().tid, e.t);
       h.resume();
       if (h.promise().done) finish(h);
     } else {
@@ -372,14 +325,7 @@ void Engine::raise_abort(AbortKind kind, const std::string& reason) {
       kind == AbortKind::kDeadlock) {
     os << " (unknown wait state)";
   }
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kAbort;
-    e.t = global_time_;
-    e.tid = stuck_tid;
-    e.label = to_string(kind);
-    trace_->on_event(e);
-  }
+  if (obs_ != nullptr) obs_->on_abort(kind, global_time_, stuck_tid);
   throw SimAbort(kind, os.str(), global_time_, steps_, stuck_tid,
                  stuck_age);
 }

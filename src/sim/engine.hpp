@@ -29,17 +29,10 @@
 #include "sim/small_vec.hpp"
 #include "sim/state.hpp"
 
-namespace capmem::obs {
-class TraceSink;
-}  // namespace capmem::obs
-
-namespace capmem::obs::attr {
-class Ledger;
-}  // namespace capmem::obs::attr
-
 namespace capmem::sim {
 
 class Engine;
+class Observer;
 
 /// A simulated-thread coroutine. Fire-and-forget: the engine takes ownership
 /// of the frame when the task is spawned.
@@ -165,18 +158,12 @@ class Engine {
   /// Deterministic per-engine RNG (noise models draw from it).
   Rng& rng() { return rng_; }
 
-  /// Attaches a trace sink (null to detach). The engine emits task
-  /// scheduling events (resume, park/unpark with the parked interval,
-  /// finish, barrier release); sinks observe, never steer.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
-  obs::TraceSink* trace() const { return trace_; }
-
-  /// Attaches the attribution ledger (null to detach). The engine charges
-  /// scheduler-owned clock mutations (compute advance, timer wait, barrier
-  /// wait) and records wake/sync predecessor edges; like trace sinks, the
-  /// ledger observes and never steers.
-  void set_attr(obs::attr::Ledger* ledger) { attr_ = ledger; }
-  obs::attr::Ledger* attr() const { return attr_; }
+  /// Attaches the observer (null to detach; sim/observer.hpp). The engine
+  /// reports task scheduling (resume, park, unpark with the waking writer,
+  /// finish, barrier waits and release, abort) and the scheduler-owned
+  /// clock charges (compute advance, timer wait); observers never steer.
+  void set_observer(Observer* obs) { obs_ = obs; }
+  Observer* observer() const { return obs_; }
 
   int live_tasks() const { return live_; }
   int total_tasks() const { return static_cast<int>(tasks_.size()); }
@@ -263,8 +250,7 @@ class Engine {
   std::uint64_t steps_ = 0;
   int live_ = 0;
   bool running_ = false;
-  obs::TraceSink* trace_ = nullptr;
-  obs::attr::Ledger* attr_ = nullptr;
+  Observer* obs_ = nullptr;
   WatchdogBudget wd_;
   bool wd_armed_ = false;
 };

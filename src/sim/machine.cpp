@@ -16,8 +16,8 @@ void LineOp::await_suspend(Task::Handle h) {
   out = m->mem_.access(ctx->tid(), ctx->core(), line_of(addr), al.place,
                        type, opts, p.clock);
   p.clock = out.finish;
-  if (obs::attr::Ledger* led = m->attr_ledger_.get()) {
-    led->charge(ctx->tid(), attr_cat(out.level), from, p.clock);
+  if (Observer* o = m->obs_.get()) {
+    o->on_charge(ctx->tid(), attr_cat(out.level), from, p.clock);
   }
   if (is_u64) {
     if (is_rmw) {
@@ -51,9 +51,9 @@ void RangeOp::step(Task::Handle h) {
   if (op.space_epoch != m.space_epoch_) op.resolve_allocations();
   const int tid = op.ctx->tid();
   const int core = op.ctx->core();
-  obs::attr::Ledger* const led = m.attr_ledger_.get();
+  Observer* const observer = m.obs_.get();
 
-  // One timed line access: advance the task clock and, with the ledger
+  // One timed line access: advance the task clock and, with an observer
   // attached, charge the interval to the serving level's category.
   const auto timed = [&](Addr a, const Placement& place, AccessType t,
                          const AccessOpts& ao) {
@@ -61,7 +61,9 @@ void RangeOp::step(Task::Handle h) {
     const AccessResult r =
         m.mem_.access(tid, core, line_of(a), place, t, ao, p.clock);
     p.clock = r.finish;
-    if (led != nullptr) led->charge(tid, attr_cat(r.level), from, p.clock);
+    if (observer != nullptr) {
+      observer->on_charge(tid, attr_cat(r.level), from, p.clock);
+    }
   };
 
   AccessOpts read_opts;
@@ -156,11 +158,12 @@ bool WaitU64::probe(Task::Handle h, Nanos at) {
                                         line_of(addr), al.place,
                                         AccessType::kRead, o, at);
   h.promise().clock = r.finish;
-  if (obs::attr::Ledger* led = m->attr_ledger_.get()) {
+  if (Observer* observer = m->obs_.get()) {
     // The interval up to the wake probe is time parked on the line; the
     // probe itself is a polling read charged at its serving level.
-    led->charge(ctx->tid(), obs::attr::TimeCat::kParkWait, parked_from, at);
-    led->charge(ctx->tid(), attr_cat(r.level), at, r.finish);
+    observer->on_charge(ctx->tid(), obs::attr::TimeCat::kParkWait,
+                        parked_from, at);
+    observer->on_charge(ctx->tid(), attr_cat(r.level), at, r.finish);
   }
   seen = m->space().load<std::uint64_t>(addr);
   return matches(seen);
@@ -300,17 +303,12 @@ void Ctx::poke_u64(Addr a, std::uint64_t v) {
 Machine::Machine(MachineConfig cfg)
     : cfg_(std::move(cfg)),
       topo_(cfg_),
+      obs_(Fanout::make(cfg_, topo_)),
       engine_(cfg_.seed),
-      mem_(cfg_, topo_, engine_.rng()) {
+      mem_(cfg_, topo_, engine_.rng(), obs_.get()) {
   cfg_.validate();
-  engine_.set_trace(cfg_.trace);
+  engine_.set_observer(obs_.get());
   engine_.set_watchdog(cfg_.watchdog);
-  if (cfg_.attr != nullptr) {
-    attr_ledger_ =
-        std::make_unique<obs::attr::Ledger>(cfg_.active_tiles);
-    engine_.set_attr(attr_ledger_.get());
-    mem_.set_attr(attr_ledger_.get());
-  }
   Rng skew_rng(cfg_.seed ^ 0x75c5u);
   tsc_skew_.resize(static_cast<std::size_t>(cfg_.cores()));
   for (auto& s : tsc_skew_) {
@@ -369,24 +367,15 @@ bool Machine::run_until(std::uint64_t step_limit) {
       // programs must join the schedule *after* the captured prefix.
       const int tid = engine_.spawn(std::move(t), engine_.now());
       ctx.tid_ = tid;
-      if (attr_ledger_) {
-        attr_ledger_->set_task_tile(tid, topo_.tile_of_core(ctx.slot_.core));
+      if (obs_) {
+        obs_->on_spawn(tid, topo_.tile_of_core(ctx.slot_.core),
+                       engine_.now());
       }
     }
   }
   if (!engine_.run_until(step_limit)) return false;
   finished_ = true;
-  if (attr_ledger_) flush_attr();
-  if (cfg_.metrics != nullptr) {
-    mem_.flush_metrics(engine_.now());
-    // Park-table health: keys must drain to zero on a clean run, and the
-    // pool high-water mark stays at the peak number of concurrently parked
-    // wait keys (slots are free-listed, not leaked per park/wake cycle).
-    cfg_.metrics->set("sim.engine.park.keys",
-                      static_cast<double>(engine_.parked_keys()));
-    cfg_.metrics->set("sim.engine.park.pool_slots",
-                      static_cast<double>(engine_.parked_pool_slots()));
-  }
+  if (obs_) obs_->finish_run(engine_, mem_);
   return true;
 }
 
@@ -414,53 +403,6 @@ void Machine::install_state(const state::MachineState& s) {
   mem_.import_state(s.mem);
   space_.import_state(s.space);
   invalidate_alloc_memos();
-}
-
-void Machine::flush_attr() {
-  obs::attr::Ledger& led = *attr_ledger_;
-  led.set_channel_busy(mem_.dram_busy_ns(), mem_.mcdram_busy_ns());
-  led.finalize(engine_.now());
-  if (cfg_.metrics != nullptr) {
-    obs::Registry& reg = *cfg_.metrics;
-    for (int c = 0; c < static_cast<int>(obs::attr::TimeCat::kCount); ++c) {
-      const auto cat = static_cast<obs::attr::TimeCat>(c);
-      const obs::attr::Ticks t = led.total(cat);
-      if (t == 0) continue;
-      reg.add(std::string("attr.time.") + obs::attr::to_string(cat) + "_ns",
-              obs::attr::to_ns(t));
-    }
-    reg.add("attr.total_ns", obs::attr::to_ns(led.total_all()));
-    reg.add("attr.unattributed_ns", obs::attr::to_ns(led.unattributed()));
-    reg.add("attr.mesh.hops_vertical",
-            static_cast<double>(led.hops_vertical()));
-    reg.add("attr.mesh.hops_horizontal",
-            static_cast<double>(led.hops_horizontal()));
-    reg.add("attr.dir.lookups", static_cast<double>(led.dir_lookups_total()));
-  }
-  if (cfg_.trace != nullptr) {
-    const std::vector<obs::attr::PathLink> path = led.critical_path();
-    int ordinal = 0;
-    for (const obs::attr::PathLink& l : path) {
-      if (l.pred < 0) continue;
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kCritEdge;
-      e.t = l.t;
-      e.dur = l.dur;
-      e.tid = l.tid;
-      e.tile = l.tile;
-      e.line = l.key;
-      e.a = l.pred;
-      e.b = ordinal++;
-      e.label = l.kind;
-      cfg_.trace->on_event(e);
-    }
-  }
-  if (cfg_.attr != nullptr) {
-    const std::string label = cfg_.name + "/" + to_string(cfg_.cluster) +
-                              "/" + to_string(cfg_.memory) + "/" +
-                              to_string(cfg_.protocol);
-    cfg_.attr->merge(led, label);
-  }
 }
 
 void Machine::flush_buffer(Addr base, std::uint64_t bytes,

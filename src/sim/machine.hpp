@@ -22,10 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/attr.hpp"
 #include "sim/address.hpp"
 #include "sim/config.hpp"
 #include "sim/engine.hpp"
+#include "sim/fanout.hpp"
 #include "sim/memsys.hpp"
 #include "sim/thread.hpp"
 #include "sim/topology.hpp"
@@ -311,11 +311,6 @@ class Machine {
   /// Busy time of one tile's L2 supply port (cache-to-cache source side).
   Nanos l2_supply_busy(int tile) const { return mem_.l2_supply_busy(tile); }
 
-  /// The per-run attribution ledger (null unless MachineConfig::attr is
-  /// set). Owned by the Machine; finalized and merged into cfg.attr at the
-  /// end of run().
-  obs::attr::Ledger* attr() const { return attr_ledger_.get(); }
-
  private:
   friend class Ctx;
   friend struct detail::LineOp;
@@ -326,21 +321,18 @@ class Machine {
   /// address-space mutation.
   void invalidate_alloc_memos();
 
-  /// Post-run attribution epilogue: feeds channel busy time, finalizes the
-  /// ledger (conservation becomes checkable), rolls per-category totals into
-  /// cfg_.metrics, emits critical-path flow events into cfg_.trace, and
-  /// merges into the shared cfg_.attr sink.
-  void flush_attr();
-
   MachineConfig cfg_;
   Topology topo_;
+  /// The observer fanned out to MachineConfig::trace/metrics/check/attr
+  /// (null when none is attached). Declared before the components that
+  /// report to it.
+  std::unique_ptr<Fanout> obs_;
   Engine engine_;
   MemSystem mem_;
   AddressSpace space_;
   std::deque<Ctx> ctxs_;
   std::vector<Program> programs_;
   std::vector<Nanos> tsc_skew_;
-  std::unique_ptr<obs::attr::Ledger> attr_ledger_;
   const Allocation* last_alloc_ = nullptr;
   /// Bumped on every address-space mutation; in-flight RangeOps compare it
   /// to know their resolved allocations are still current.

@@ -5,6 +5,7 @@
 
 #include "fault/plan.hpp"
 #include "sim/mutation.hpp"
+#include "sim/observer.hpp"
 
 namespace capmem::sim {
 
@@ -62,7 +63,8 @@ const char* to_string(Level level) {
   return "?";
 }
 
-MemSystem::MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng)
+MemSystem::MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng,
+                     Observer* obs)
     : cfg_(&cfg),
       topo_(&topo),
       rng_(&rng),
@@ -91,19 +93,9 @@ MemSystem::MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng)
   counters_.resize(static_cast<std::size_t>(cfg.hw_threads()));
   if (cfg.cluster == ClusterMode::kSNC2)
     extra_sigma_ = cfg.noise.snc2_extra_sigma;
-  trace_ = cfg.trace;
-  metrics_ = cfg.metrics;
-  check_ = cfg.check;
-  obs_on_ = trace_ != nullptr || metrics_ != nullptr;
-  tapped_ = obs_on_ || check_ != nullptr;
-  dir_requests_.resize(static_cast<std::size_t>(cfg.active_tiles), 0);
-  if (obs_on_) {
-    queue_delay_.resize(static_cast<std::size_t>(cfg.hw_threads()));
-    if (trace_ != nullptr) {
-      dram_.set_obs(trace_, "dram");
-      mcdram_.set_obs(trace_, "mcdram");
-    }
-  }
+  obs_ = obs;
+  dram_.set_observer(obs, MemKind::kDDR);
+  mcdram_.set_observer(obs, MemKind::kMCDRAM);
   fault_ = cfg.fault;
   if (fault_ != nullptr) {
     if (fault_->mesh_enabled()) {
@@ -126,15 +118,7 @@ Nanos MemSystem::fault_path_penalty(int tid, Nanos now, int a, int b,
   if (c >= 0) retries += fault_mesh_[static_cast<std::size_t>(c)];
   if (retries == 0) return 0;
   fault_link_retries_ += static_cast<std::uint64_t>(retries);
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kFaultRetry;
-    e.t = now;
-    e.tid = tid;
-    e.a = retries;
-    e.label = "mesh-link";
-    trace_->on_event(e);
-  }
+  if (obs_ != nullptr) obs_->on_link_retry(tid, retries, now);
   return fault_->link_retry_ns * retries;
 }
 
@@ -299,10 +283,10 @@ void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
   }
   // Drop through the entry already in hand: one erase probe, no re-find.
   if (ve->anywhere()) {
-    if (check_ != nullptr) check_->on_transition(victim, *ve, *this);
+    if (obs_ != nullptr) obs_->on_transition(victim, *ve, *this);
   } else {
     dir_.drop(victim);
-    if (check_ != nullptr) check_->on_drop(victim);
+    if (obs_ != nullptr) obs_->on_drop(victim);
   }
 }
 
@@ -326,9 +310,9 @@ void MemSystem::invalidate_others(LineEntry& e, Line line, int keep_tile,
   while (pending != 0) {
     const int t = __builtin_ctzll(pending);
     pending &= pending - 1;
-    if (obs_on_) {
-      note_coherence(tid, -1, t, line, Directory::state_in_tile(e, t),
-                     TileState::kI, now, "invalidate");
+    if (obs_ != nullptr) {
+      obs_->on_coherence(tid, -1, t, line, Directory::state_in_tile(e, t),
+                         TileState::kI, now, "invalidate");
     }
     if (mutation::is(mutation::Kind::kStaleL2Copy) && !stale_injected) {
       // Fault injection (mutation-smoke builds only): leave the victim's
@@ -364,9 +348,9 @@ AccessResult MemSystem::memory_access(int tid, int core, Line line,
   const auto& lt = cfg_->lat;
   const int legs = mesh_legs(req_tile, target.home_tile, target.mem_stop);
   const Nanos path = lt.hop * legs;
-  if (obs_on_) {
-    note_hops(tid, core, legs, now, req_tile, target.home_tile,
-              target.mem_stop);
+  if (obs_ != nullptr) {
+    obs_->on_hops(tid, core, legs, now, req_tile, target.home_tile,
+                  target.mem_stop);
   }
   const Nanos fpen =
       fault_mesh_.empty()
@@ -459,140 +443,26 @@ AccessResult MemSystem::memory_access(int tid, int core, Line line,
 AccessResult MemSystem::access(int tid, int core, Line line,
                                const Placement& place, AccessType type,
                                const AccessOpts& opts, Nanos now) {
-  // The disabled observability/checker path is this single branch:
-  // access_impl is the exact pre-obs access body, so default runs stay
-  // byte-identical.
-  if (!tapped_) return access_impl(tid, core, line, place, type, opts, now);
+  // The detached path is this single branch: access_impl is the whole
+  // access body, so default runs stay byte-identical.
+  if (obs_ == nullptr) {
+    return access_impl(tid, core, line, place, type, opts, now);
+  }
   const AccessResult res =
       access_impl(tid, core, line, place, type, opts, now);
-  if (obs_on_) note_access(tid, core, line, type, res, now);
-  if (check_ != nullptr) {
-    note_check_access(tid, core, line, type, opts, res, now);
-  }
-  return res;
-}
-
-void MemSystem::note_check_access(int tid, int core, Line line,
-                                  AccessType type, const AccessOpts& opts,
-                                  const AccessResult& res, Nanos now) {
-  AccessRecord rec;
-  rec.tid = tid;
-  rec.core = core;
-  rec.tile = topo_->tile_of_core(core);
-  rec.line = line;
-  rec.type = type;
-  rec.nt = opts.nt;
-  rec.streaming = opts.streaming;
-  rec.start = now;
-  rec.finish = res.finish;
   const LineEntry* e = dir_.find(line);
-  rec.version_after = e != nullptr ? e->version : 0;
-  check_->on_access(rec);
-}
-
-void MemSystem::note_access(int tid, int core, Line line, AccessType type,
-                            const AccessResult& res, Nanos now) {
-  if (attr_ != nullptr) {
-    attr_->count_access(topo_->tile_of_core(core), attr_cat(res.level));
-  }
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kLineAccess;
-    e.t = now;
-    e.dur = res.finish - now;
-    e.tid = tid;
-    e.core = core;
-    e.tile = topo_->tile_of_core(core);
-    e.line = line;
-    e.label = to_string(res.level);
-    trace_->on_event(e);
-  }
-  // Per-thread channel queue delay of memory-served accesses (the pools
-  // remember the queueing component of their most recent transfer).
-  if (!queue_delay_.empty()) {
-    switch (res.level) {
-      case Level::kDram:
-      case Level::kMcdramCacheMiss:
-        queue_delay_[static_cast<std::size_t>(tid)].record(
-            dram_.last_queue_ns());
-        break;
-      case Level::kMcdram:
-      case Level::kMcdramCacheHit:
-        queue_delay_[static_cast<std::size_t>(tid)].record(
-            mcdram_.last_queue_ns());
-        break;
-      default:
-        break;
-    }
-  }
-  (void)type;
-}
-
-void MemSystem::note_dir_lookup(int tid, Line line, int home_tile, Nanos now,
-                                Nanos svc_start, Nanos service) {
-  dir_requests_[static_cast<std::size_t>(home_tile)]++;
-  cha_queue_.record(svc_start - now);
-  if (attr_ != nullptr) {
-    attr_->add_dir_lookup(home_tile, svc_start - now, service);
-  }
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kDirLookup;
-    e.t = svc_start;
-    e.dur = service;
-    e.tid = tid;
-    e.line = line;
-    e.a = home_tile;
-    e.queue_ns = svc_start - now;
-    trace_->on_event(e);
-  }
-}
-
-void MemSystem::note_hops(int tid, int core, int legs, Nanos now,
-                          int req_tile, int home_tile, Coord far_stop) {
-  noc_hops_total_ += static_cast<std::uint64_t>(legs);
-  if (attr_ != nullptr) {
-    // Split the request triangle's Manhattan hops by ring direction
-    // (KNL's mesh routes Y-then-X; |dr| legs ride the vertical rings).
-    const Coord rq = topo_->tile_coord(req_tile);
-    const Coord hm = topo_->tile_coord(home_tile);
-    const auto d = [](int a, int b) { return a > b ? a - b : b - a; };
-    const int vertical = d(hm.row, rq.row) + d(far_stop.row, hm.row) +
-                         d(rq.row, far_stop.row);
-    const int horizontal = d(hm.col, rq.col) + d(far_stop.col, hm.col) +
-                           d(rq.col, far_stop.col);
-    attr_->add_hops(req_tile, vertical, horizontal);
-  }
-  if (trace_ != nullptr) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kNocHops;
-    e.t = now;
-    e.tid = tid;
-    e.core = core;
-    e.a = legs;
-    trace_->on_event(e);
-  }
-}
-
-void MemSystem::note_coherence(int tid, int core, int tile, Line line,
-                               TileState from, TileState to, Nanos now,
-                               const char* label) {
-  if (attr_ != nullptr) {
-    attr_->add_transition(static_cast<int>(from), static_cast<int>(to),
-                          label);
-  }
-  if (trace_ == nullptr) return;
-  obs::TraceEvent e;
-  e.kind = obs::EventKind::kCoherence;
-  e.t = now;
-  e.tid = tid;
-  e.core = core;
-  e.tile = tile;
-  e.line = line;
-  e.a = static_cast<int>(from);
-  e.b = static_cast<int>(to);
-  e.label = label;
-  trace_->on_event(e);
+  obs_->on_access({.tid = tid,
+                   .core = core,
+                   .tile = topo_->tile_of_core(core),
+                   .line = line,
+                   .type = type,
+                   .level = res.level,
+                   .nt = opts.nt,
+                   .streaming = opts.streaming,
+                   .start = now,
+                   .finish = res.finish,
+                   .version_after = e != nullptr ? e->version : 0});
+  return res;
 }
 
 AccessResult MemSystem::access_impl(int tid, int core, Line line,
@@ -680,7 +550,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
     e.version++;
     e.last_write_visible = res.finish;
     check_entry_p<P>(e);
-    note_transition(line, e);
+    if (obs_ != nullptr) obs_->on_transition(line, e, *this);
     return res;
   }
 
@@ -726,7 +596,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       }
       l1_insert(core, line, e, eh);
       check_entry_p<P>(e);
-      note_transition(line, e);
+      if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
     }
 
@@ -736,24 +606,13 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       // Sticky CHA entry: one extra re-lookup before service.
       svc_start += fault_->stuck_retry_ns;
       ++fault_stuck_hits_;
-      if (trace_ != nullptr) {
-        obs::TraceEvent fe;
-        fe.kind = obs::EventKind::kFaultRetry;
-        fe.t = now;
-        fe.tid = tid;
-        fe.line = line;
-        fe.label = "stuck-dir";
-        trace_->on_event(fe);
-      }
+      if (obs_ != nullptr) obs_->on_stuck_dir(tid, line, now);
     }
     e.service_available = svc_start + jitter(lt.line_service, false);
     const MemTarget& target = target_of(e, line, place);
-    if (obs_on_) {
-      note_dir_lookup(tid, line, target.home_tile, now, svc_start,
-                      e.service_available - svc_start);
-    }
-    if (check_ != nullptr) {
-      check_->on_dir_lookup(line, place, target.home_tile);
+    if (obs_ != nullptr) {
+      obs_->on_dir_lookup(tid, line, target.home_tile, now, svc_start,
+                          e.service_available - svc_start);
     }
 
     if (e.owner >= 0 && e.owner != tile) {
@@ -766,17 +625,17 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       ctr.remote_hits++;
       res.level = Level::kRemoteL2;
       const int legs = mesh_legs_tiles(tile, target.home_tile, e.owner);
-      if (obs_on_) {
-        note_hops(tid, core, legs, now, tile, target.home_tile,
-                  topo_->tile_coord(e.owner));
+      if (obs_ != nullptr) {
+        obs_->on_hops(tid, core, legs, now, tile, target.home_tile,
+                      topo_->tile_coord(e.owner));
         if constexpr (P::kDirtyShared) {
           // MOSI: the owner keeps the dirty line and moves to O.
-          note_coherence(tid, core, e.owner, line, res.prior, TileState::kO,
-                         svc_start, "share");
+          obs_->on_coherence(tid, core, e.owner, line, res.prior,
+                             TileState::kO, svc_start, "share");
         } else {
           // The old owner is downgraded to a shared copy (MESIF read c2c).
-          note_coherence(tid, core, e.owner, line, res.prior, TileState::kS,
-                         svc_start, "downgrade");
+          obs_->on_coherence(tid, core, e.owner, line, res.prior,
+                             TileState::kS, svc_start, "downgrade");
         }
       }
       Nanos cost;
@@ -829,7 +688,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       }
       fill_caches(core, tile, line, e, eh);
       check_entry_p<P>(e);
-      note_transition(line, e);
+      if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
     }
 
@@ -842,9 +701,9 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
           res.level = Level::kRemoteL2;
           const int legs = mesh_legs_tiles(tile, target.home_tile,
                                            e.forward);
-          if (obs_on_) {
-            note_hops(tid, core, legs, now, tile, target.home_tile,
-                      topo_->tile_coord(e.forward));
+          if (obs_ != nullptr) {
+            obs_->on_hops(tid, core, legs, now, tile, target.home_tile,
+                          topo_->tile_coord(e.forward));
           }
           Nanos cost;
           if (opts.streaming) {
@@ -865,7 +724,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
           e.forward = tile;  // F migrates to the newest requester
           fill_caches(core, tile, line, e, eh);
           check_entry_p<P>(e);
-          note_transition(line, e);
+          if (obs_ != nullptr) obs_->on_transition(line, e, *this);
           return res;
         }
       }
@@ -876,7 +735,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       if constexpr (P::kHasForward) e.forward = tile;
       fill_caches(core, tile, line, e, eh);
       check_entry_p<P>(e);
-      note_transition(line, e);
+      if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
     }
 
@@ -890,7 +749,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
     }
     fill_caches(core, tile, line, e, eh);
     check_entry_p<P>(e);
-    note_transition(line, e);
+    if (obs_ != nullptr) obs_->on_transition(line, e, *this);
     return res;
   }
 
@@ -923,16 +782,16 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                     : (e.dirty ? lt.l2_tile_m : lt.l2_tile_e);
       res.finish = std::max(now + jitter(cost), core_issue(core, now, 1.0));
     }
-    if (obs_on_ && res.prior != TileState::kM) {
-      note_coherence(tid, core, tile, line, res.prior, TileState::kM, now,
-                     "upgrade");
+    if (obs_ != nullptr && res.prior != TileState::kM) {
+      obs_->on_coherence(tid, core, tile, line, res.prior, TileState::kM,
+                         now, "upgrade");
     }
     e.dirty = true;
     l1_insert(core, line, e, eh);
     if (!mutation::is(mutation::Kind::kSkipVersionBump)) e.version++;
     e.last_write_visible = res.finish;
     check_entry_p<P>(e);
-    note_transition(line, e);
+    if (obs_ != nullptr) obs_->on_transition(line, e, *this);
     return res;
   }
 
@@ -941,24 +800,13 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
   if (fault_stuck_ && fault_->line_stuck(line)) {
     svc_start += fault_->stuck_retry_ns;
     ++fault_stuck_hits_;
-    if (trace_ != nullptr) {
-      obs::TraceEvent fe;
-      fe.kind = obs::EventKind::kFaultRetry;
-      fe.t = now;
-      fe.tid = tid;
-      fe.line = line;
-      fe.label = "stuck-dir";
-      trace_->on_event(fe);
-    }
+    if (obs_ != nullptr) obs_->on_stuck_dir(tid, line, now);
   }
   e.service_available = svc_start + jitter(lt.line_service, false);
   const MemTarget& target = target_of(e, line, place);
-  if (obs_on_) {
-    note_dir_lookup(tid, line, target.home_tile, now, svc_start,
-                    e.service_available - svc_start);
-  }
-  if (check_ != nullptr) {
-    check_->on_dir_lookup(line, place, target.home_tile);
+  if (obs_ != nullptr) {
+    obs_->on_dir_lookup(tid, line, target.home_tile, now, svc_start,
+                        e.service_available - svc_start);
   }
 
   if (e.owner >= 0 && e.owner != tile) {
@@ -970,9 +818,9 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       res.prior = e.dirty ? TileState::kM : TileState::kE;
     }
     const int legs = mesh_legs_tiles(tile, target.home_tile, e.owner);
-    if (obs_on_) {
-      note_hops(tid, core, legs, now, tile, target.home_tile,
-                topo_->tile_coord(e.owner));
+    if (obs_ != nullptr) {
+      obs_->on_hops(tid, core, legs, now, tile, target.home_tile,
+                    topo_->tile_coord(e.owner));
     }
     const int src = e.owner;
     Nanos cost;
@@ -1001,9 +849,9 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                     : (e.forward >= 0 ? TileState::kF : TileState::kS);
     const int far = e.forward >= 0 ? e.forward : tile;
     const int legs = mesh_legs_tiles(tile, target.home_tile, far);
-    if (obs_on_) {
-      note_hops(tid, core, legs, now, tile, target.home_tile,
-                topo_->tile_coord(far));
+    if (obs_ != nullptr) {
+      obs_->on_hops(tid, core, legs, now, tile, target.home_tile,
+                    topo_->tile_coord(far));
     }
     Nanos cost;
     if (opts.streaming) {
@@ -1025,9 +873,9 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                         std::max(now, svc_start), tile);
   }
 
-  if (obs_on_) {
-    note_coherence(tid, core, tile, line, res.prior, TileState::kM, now,
-                   "upgrade");
+  if (obs_ != nullptr) {
+    obs_->on_coherence(tid, core, tile, line, res.prior, TileState::kM, now,
+                       "upgrade");
   }
   e.owner = tile;
   e.dirty = true;
@@ -1044,7 +892,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
   e.version++;
   e.last_write_visible = res.finish;
   check_entry_p<P>(e);
-  note_transition(line, e);
+  if (obs_ != nullptr) obs_->on_transition(line, e, *this);
   return res;
 }
 
@@ -1057,7 +905,7 @@ void MemSystem::flush_line(Line line, bool drop_mcdram_cache) {
     for (std::uint64_t m = e->l1_mask; m != 0; m &= m - 1)
       l1_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
     dir_.drop(line);
-    if (check_ != nullptr) check_->on_flush(line);
+    if (obs_ != nullptr) obs_->on_flush(line);
   }
   if (drop_mcdram_cache) mc_cache_.erase(line);
 }
@@ -1071,7 +919,7 @@ void MemSystem::reset() {
   for (auto& p : core_ports_) p.reset();
   for (auto& p : l2_supply_) p.reset();
   dir_.clear();
-  if (check_ != nullptr) check_->on_reset();
+  if (obs_ != nullptr) obs_->on_reset();
 }
 
 void MemSystem::clear_counters() {
@@ -1088,104 +936,6 @@ double MemSystem::mcdram_busy_ns() const {
   double b = 0;
   for (int c = 0; c < mcdram_.size(); ++c) b += mcdram_.busy(c);
   return b;
-}
-
-void MemSystem::flush_metrics(Nanos elapsed) {
-  if (metrics_ == nullptr) return;
-  obs::Registry& reg = *metrics_;
-  reg.add("sim.machines", 1);
-  reg.add("sim.elapsed_ns", elapsed);
-
-  // Per-channel busy time and utilization (busy / machine elapsed). The
-  // utilization histograms aggregate the channel population across every
-  // Machine that flushed into this registry.
-  const auto flush_pool = [&](const ChannelPool& pool, const char* name) {
-    for (int c = 0; c < pool.size(); ++c) {
-      reg.add(std::string("sim.") + name + ".ch" + std::to_string(c) +
-                  ".busy_ns",
-              pool.busy(c));
-      if (elapsed > 0) {
-        reg.record(std::string("sim.") + name + ".channel_util",
-                   pool.busy(c) / elapsed);
-      }
-    }
-    reg.add(std::string("sim.") + name + ".busy_ns", pool.busy_total());
-  };
-  flush_pool(dram_, "dram");
-  flush_pool(mcdram_, "mcdram");
-
-  // Mesh occupancy (hop totals) and directory home-CHA request counts.
-  reg.add("sim.noc.hops", static_cast<double>(noc_hops_total_));
-  for (std::size_t t = 0; t < dir_requests_.size(); ++t) {
-    if (dir_requests_[t] == 0) continue;
-    reg.add("sim.dir.home" + std::to_string(t) + ".requests",
-            static_cast<double>(dir_requests_[t]));
-  }
-  reg.merge_hist("sim.cha.queue_ns", cha_queue_);
-
-  // Queue-delay distributions: one aggregate plus per-thread breakdowns.
-  obs::Log2Hist all_queue;
-  for (std::size_t tid = 0; tid < queue_delay_.size(); ++tid) {
-    const obs::Log2Hist& h = queue_delay_[tid];
-    if (h.count == 0) continue;
-    all_queue.merge(h);
-    reg.merge_hist("sim.mem.queue_delay_ns.tid" + std::to_string(tid), h);
-  }
-  reg.merge_hist("sim.mem.queue_delay_ns", all_queue);
-
-  // Core issue-port / L2-supply occupancy.
-  double issue_busy = 0;
-  for (const auto& p : core_ports_) issue_busy += p.busy();
-  double supply_busy = 0;
-  for (const auto& p : l2_supply_) supply_busy += p.busy();
-  reg.add("sim.core_issue.busy_ns", issue_busy);
-  reg.add("sim.l2_supply.busy_ns", supply_busy);
-
-  // ThreadCounters aggregate (the classification partition of line_ops).
-  ThreadCounters sum;
-  for (const auto& c : counters_) {
-    sum.l1_hits += c.l1_hits;
-    sum.l2_tile_hits += c.l2_tile_hits;
-    sum.remote_hits += c.remote_hits;
-    sum.dram_lines += c.dram_lines;
-    sum.mcdram_lines += c.mcdram_lines;
-    sum.mc_cache_hits += c.mc_cache_hits;
-    sum.mc_cache_misses += c.mc_cache_misses;
-    sum.writebacks += c.writebacks;
-    sum.invalidations += c.invalidations;
-    sum.line_ops += c.line_ops;
-  }
-  reg.add("sim.mem.l1_hits", static_cast<double>(sum.l1_hits));
-  reg.add("sim.mem.l2_tile_hits", static_cast<double>(sum.l2_tile_hits));
-  reg.add("sim.mem.remote_hits", static_cast<double>(sum.remote_hits));
-  reg.add("sim.mem.dram_lines", static_cast<double>(sum.dram_lines));
-  reg.add("sim.mem.mcdram_lines", static_cast<double>(sum.mcdram_lines));
-  reg.add("sim.mem.mc_cache_hits", static_cast<double>(sum.mc_cache_hits));
-  reg.add("sim.mem.mc_cache_misses",
-          static_cast<double>(sum.mc_cache_misses));
-  reg.add("sim.mem.writebacks", static_cast<double>(sum.writebacks));
-  reg.add("sim.mem.invalidations", static_cast<double>(sum.invalidations));
-  reg.add("sim.mem.line_ops", static_cast<double>(sum.line_ops));
-  // MCDRAM-cache hit ratio of this machine, as a distribution across
-  // machines (a plain counter ratio is recoverable from the two counters).
-  const std::uint64_t mc_total = sum.mc_cache_hits + sum.mc_cache_misses;
-  if (mc_total > 0) {
-    reg.record("sim.mc_cache.hit_ratio",
-               static_cast<double>(sum.mc_cache_hits) /
-                   static_cast<double>(mc_total));
-  }
-
-  // Fault-injection counters (only with a plan attached, so healthy runs
-  // don't grow zero-valued keys).
-  if (fault_ != nullptr) {
-    reg.add("sim.fault.link_retries",
-            static_cast<double>(fault_link_retries_));
-    reg.add("sim.fault.stuck_dir_hits",
-            static_cast<double>(fault_stuck_hits_));
-    reg.add("sim.fault.degraded_transfers",
-            static_cast<double>(dram_.degraded_transfers() +
-                                mcdram_.degraded_transfers()));
-  }
 }
 
 }  // namespace capmem::sim

@@ -19,13 +19,10 @@
 #include <vector>
 
 #include "obs/attr.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/address.hpp"
 #include "sim/cache.hpp"
 #include "sim/coherence.hpp"
 #include "sim/config.hpp"
-#include "sim/hooks.hpp"
 #include "sim/mcdram_cache.hpp"
 #include "sim/mem_map.hpp"
 #include "sim/resource.hpp"
@@ -95,14 +92,18 @@ struct ThreadCounters {
 
 class MemSystem {
  public:
-  MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng);
+  /// `obs` (nullable, non-owning) observes every access, directory lookup
+  /// and transition, mesh traversal, coherence change and channel transfer
+  /// (sim/observer.hpp); null detaches.
+  MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng,
+            Observer* obs = nullptr);
 
   /// Timed access to one line by HW thread `tid` running on `core`.
   /// `place` is the placement of the owning allocation. Mutates coherence
-  /// state; returns completion time. With observability hooks attached
-  /// (MachineConfig::trace / ::metrics) each access additionally emits a
-  /// classified kLineAccess trace event and feeds the local instruments —
-  /// without them the only extra cost is one branch.
+  /// state; returns completion time. With an observer attached, each access
+  /// ends with one Observer::on_access (level, start/finish, directory
+  /// version) after the events of its transition; detached, the only extra
+  /// cost is one branch.
   AccessResult access(int tid, int core, Line line, const Placement& place,
                       AccessType type, const AccessOpts& opts, Nanos now);
 
@@ -116,8 +117,7 @@ class MemSystem {
 
   /// Checkpoint support (capmem::snap): the complete virtual-time-relevant
   /// state (directory, caches, MCDRAM cache, channel/port reservations,
-  /// per-thread counters, fault counters). The observability histograms
-  /// are instruments, not state, and restart empty after an import.
+  /// per-thread counters, fault counters).
   state::MemSysState export_state() const;
   void import_state(const state::MemSysState& s);
 
@@ -157,29 +157,12 @@ class MemSystem {
   Nanos l2_supply_busy(int tile) const {
     return l2_supply_.at(static_cast<std::size_t>(tile)).busy();
   }
-  std::uint64_t dir_requests(int home_tile) const {
-    return dir_requests_.at(static_cast<std::size_t>(home_tile));
-  }
-  std::uint64_t noc_hops() const { return noc_hops_total_; }
-
-  /// Merges the hot-path-local instruments (per-channel busy time and
-  /// utilization, home-CHA request counts, NoC hop totals, queue-delay
-  /// histograms, the ThreadCounters aggregate) into the attached
-  /// obs::Registry. Called once by Machine::run(); no-op without a registry.
-  void flush_metrics(Nanos elapsed);
+  /// Fault-injection tallies: degraded mesh-link re-crossings and sticky
+  /// CHA re-lookups so far.
+  std::uint64_t fault_link_retries() const { return fault_link_retries_; }
+  std::uint64_t fault_stuck_hits() const { return fault_stuck_hits_; }
 
   int tile_of_core(int core) const { return topo_->tile_of_core(core); }
-
-  /// Attaches the attribution ledger (null to detach). The memory system
-  /// feeds traffic counters (per-level access counts, directional mesh
-  /// hops, CHA lookups, coherence transitions); time is charged by the
-  /// Machine awaiters that own the task clocks. Must be called before the
-  /// first access.
-  void set_attr(obs::attr::Ledger* ledger) {
-    attr_ = ledger;
-    obs_on_ = obs_on_ || attr_ != nullptr;
-    tapped_ = tapped_ || attr_ != nullptr;
-  }
 
  private:
   // Cost helpers. `legs` is the mesh path length in hops.
@@ -215,27 +198,6 @@ class MemSystem {
                          Nanos now);
   void l1_insert(int core, Line line, LineEntry& e, DirHandle h);
 
-  // Validation taps (called only when check_ attached).
-  void note_transition(Line line, const LineEntry& e) {
-    if (check_ != nullptr) check_->on_transition(line, e, *this);
-  }
-  void note_check_access(int tid, int core, Line line, AccessType type,
-                         const AccessOpts& opts, const AccessResult& res,
-                         Nanos now);
-
-  // Observability taps (called only when obs_on_).
-  void note_access(int tid, int core, Line line, AccessType type,
-                   const AccessResult& res, Nanos now);
-  void note_dir_lookup(int tid, Line line, int home_tile, Nanos now,
-                       Nanos svc_start, Nanos service);
-  /// `req_tile` -> `home_tile` -> `far_stop` -> `req_tile` is the request
-  /// path whose hop count is `legs`; the endpoints let the attribution
-  /// ledger split the hops by ring direction (vertical/horizontal).
-  void note_hops(int tid, int core, int legs, Nanos now, int req_tile,
-                 int home_tile, Coord far_stop);
-  void note_coherence(int tid, int core, int tile, Line line, TileState from,
-                      TileState to, Nanos now, const char* label);
-
   // Fault-injection tap: additive penalty for a mesh path whose endpoint
   // tiles (`c` < 0 when the path has only two) include degraded ones.
   // Callers guard with `!fault_mesh_.empty()`.
@@ -265,16 +227,7 @@ class MemSystem {
   std::vector<Reservation> l2_supply_;     // per tile: c2c source bandwidth
   std::vector<ThreadCounters> counters_;   // per tid (grown on demand)
   double extra_sigma_ = 0.0;               // SNC2 experimental-mode variance
-
-  // Observability state. The hot-path instruments are component-local and
-  // allocation-free (plain counters, fixed Log2Hists); flush_metrics()
-  // merges them into the shared registry once per run.
-  obs::TraceSink* trace_ = nullptr;
-  obs::Registry* metrics_ = nullptr;
-  obs::attr::Ledger* attr_ = nullptr;
-  CheckHook* check_ = nullptr;
-  bool obs_on_ = false;
-  bool tapped_ = false;  ///< obs_on_ || check_ attached (hot-path gate)
+  Observer* obs_ = nullptr;                // null: detached
 
   // Fault-injection state (all empty/false without a FaultPlan; the healthy
   // hot path pays one vector-emptiness / bool branch per guarded site).
@@ -283,10 +236,6 @@ class MemSystem {
   bool fault_stuck_ = false;
   std::uint64_t fault_link_retries_ = 0;
   std::uint64_t fault_stuck_hits_ = 0;
-  std::vector<std::uint64_t> dir_requests_;  // per home tile
-  std::uint64_t noc_hops_total_ = 0;
-  obs::Log2Hist cha_queue_;                  // directory queueing delays
-  std::vector<obs::Log2Hist> queue_delay_;   // per tid, channel queue delays
 };
 
 }  // namespace capmem::sim

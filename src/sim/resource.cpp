@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
+#include "sim/observer.hpp"
 
 namespace capmem::sim {
 
@@ -20,24 +20,14 @@ Nanos ChannelPool::transfer(int channel, Nanos now, double bytes,
   const Nanos arrive = now - lead_ns_;
   // Queue delay: time the request sat behind earlier reservations between
   // its (back-dated) arrival and service start.
-  last_queue_ns_ = std::max<Nanos>(0, ch.available() - arrive);
-  if (now > final_at_ ||
-      (now == final_at_ && last_queue_ns_ > final_queue_ns_)) {
+  const Nanos queue = std::max<Nanos>(0, ch.available() - arrive);
+  if (now > final_at_ || (now == final_at_ && queue > final_queue_ns_)) {
     final_at_ = now;
-    final_queue_ns_ = last_queue_ns_;
+    final_queue_ns_ = queue;
   }
   const Nanos start = ch.acquire(arrive, service);
   const Nanos done = start + service;
-  if (trace_) {
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::kChannelXfer;
-    e.t = start;
-    e.dur = service;
-    e.a = channel;
-    e.queue_ns = last_queue_ns_;
-    e.label = name_;
-    trace_->on_event(e);
-  }
+  if (obs_) obs_->on_channel_xfer(kind_, channel, start, service, queue);
   return std::max(now, done);
 }
 

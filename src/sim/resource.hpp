@@ -13,13 +13,12 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "sim/config.hpp"
 #include "sim/state.hpp"
 
-namespace capmem::obs {
-class TraceSink;
-}  // namespace capmem::obs
-
 namespace capmem::sim {
+
+class Observer;
 
 class Reservation {
  public:
@@ -83,12 +82,11 @@ class ChannelPool {
   Nanos transfer(int channel, Nanos now, double bytes,
                  double rate_factor = 1.0);
 
-  /// Attaches a trace sink (null to detach); `name` must have static
-  /// storage duration ("dram"/"mcdram") and labels the emitted
-  /// kChannelXfer events.
-  void set_obs(obs::TraceSink* sink, const char* name) {
-    trace_ = sink;
-    name_ = name;
+  /// Attaches the observer (null to detach), which sees every transfer as
+  /// a channel transfer of the `kind` memory.
+  void set_observer(Observer* obs, MemKind kind) {
+    obs_ = obs;
+    kind_ = kind;
   }
 
   /// Installs per-channel fault factors (1.0 = healthy; < 1.0 = flaky
@@ -114,11 +112,6 @@ class ChannelPool {
     for (const auto& c : channels_) t += c.busy();
     return t;
   }
-  /// Controller queue delay of the most recent transfer() in execution
-  /// order: how long the request sat behind earlier reservations before
-  /// service started. Read by the memory system right after each transfer
-  /// for per-thread queue-delay statistics; not part of exported state.
-  Nanos last_queue_ns() const { return last_queue_ns_; }
   /// Exported final-transfer marker: the lexicographic max of (requester
   /// clock, queue delay) over every transfer so far — an order-free
   /// reduction rather than "whatever ran last". With engine event times
@@ -127,10 +120,8 @@ class ChannelPool {
   /// CAPSNAP1 snapshot bytes: changing it would change every snapshot id.
   Nanos final_transfer_at() const { return final_at_; }
   Nanos final_queue_ns() const { return final_queue_ns_; }
-  const char* name() const { return name_; }
   void reset() {
     for (auto& c : channels_) c.reset();
-    last_queue_ns_ = 0;
     final_queue_ns_ = 0;
     final_at_ = -1;
     degraded_transfers_ = 0;
@@ -154,7 +145,6 @@ class ChannelPool {
       channels_[i].import_state(s.channels[i]);
     }
     degraded_transfers_ = s.degraded_transfers;
-    last_queue_ns_ = s.last_queue_ns;
     final_queue_ns_ = s.last_queue_ns;
     final_at_ = s.last_transfer_at;
   }
@@ -165,11 +155,10 @@ class ChannelPool {
   std::vector<Reservation> channels_;
   std::vector<double> degrade_;  ///< empty unless a fault plan is attached
   std::uint64_t degraded_transfers_ = 0;
-  Nanos last_queue_ns_ = 0;   ///< execution-order (per-access stats)
   Nanos final_queue_ns_ = 0;  ///< order-free exported marker
   Nanos final_at_ = -1;       ///< -1: no transfer yet
-  obs::TraceSink* trace_ = nullptr;
-  const char* name_ = "channel";
+  Observer* obs_ = nullptr;
+  MemKind kind_ = MemKind::kDDR;
 };
 
 }  // namespace capmem::sim

@@ -129,13 +129,6 @@ struct MemSysState {
   std::vector<ReservationState> core_ports;   ///< per core
   std::vector<ReservationState> l2_supply;    ///< per tile
   std::vector<CountersState> counters;        ///< per tid
-  // Deliberately absent: dir_requests_ / noc_hops_total_. Those tallies are
-  // only maintained while an observer is attached (obs_on_), so including
-  // them would make the snapshot bytes depend on who was watching — the
-  // restore-identity property requires a fresh unobserved replay to
-  // reproduce the bytes exactly. Observers restart from zero after restore,
-  // same as their sinks. The fault counters below are unconditional
-  // simulation facts and stay.
   std::uint64_t fault_link_retries = 0;
   std::uint64_t fault_stuck_hits = 0;
 };

@@ -100,23 +100,6 @@ TEST(AttrLedger, ConservationAcrossAllConfigsAndProtocols) {
   }
 }
 
-TEST(AttrLedger, AttachingItChangesNothing) {
-  check::WorkloadSpec spec;
-  spec.threads = 8;
-  spec.ops_per_thread = 120;
-  spec.seed = 7;
-  Sink sink;
-  const check::WorkloadResult with =
-      check::run_workload(spec, nullptr, nullptr, &sink);
-  const check::WorkloadResult without = check::run_workload(spec, nullptr);
-  ASSERT_TRUE(with.ran);
-  ASSERT_TRUE(without.ran);
-  EXPECT_DOUBLE_EQ(with.elapsed, without.elapsed);
-  EXPECT_EQ(with.final_data, without.final_data);
-  EXPECT_EQ(with.final_counter, without.final_counter);
-  EXPECT_EQ(with.final_slot, without.final_slot);
-}
-
 TEST(AttrLedger, StagedWorkloadChargesEverySite) {
   Sink sink;
   run_staged_machine(sim::knl7210(sim::ClusterMode::kQuadrant,

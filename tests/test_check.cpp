@@ -1,6 +1,7 @@
-// Unit tests for the capmem::check layer: generator determinism, checker
-// purity (attaching it must not change simulation results), oracle
+// Unit tests for the capmem::check layer: generator determinism, oracle
 // bookkeeping on crafted workloads, and end-to-end run_diff agreement.
+// Checker purity (attaching it must not change simulation results) is
+// covered with every other observer by test_obs.cpp's AttachInvariance.
 // The 15-configuration sweep lives in test_fuzz.cpp; the fault-injection
 // counterpart (checker MUST flag a corrupted simulator) in
 // test_mutation.cpp.
@@ -48,24 +49,6 @@ TEST(Workload, EncodeValueIdentifiesWriter) {
   EXPECT_NE(encode_value(3, 7), encode_value(3, 8));
   EXPECT_EQ(encode_value(2, 5) >> 32, 3u);
   EXPECT_EQ(encode_value(2, 5) & 0xffffffffu, 5u);
-}
-
-TEST(Checker, AttachingItChangesNothing) {
-  WorkloadSpec spec;
-  spec.threads = 8;
-  spec.ops_per_thread = 120;
-  spec.seed = 7;
-  Checker checker(workload_config(spec));
-  const WorkloadResult with = run_workload(spec, &checker);
-  const WorkloadResult without = run_workload(spec, nullptr);
-  ASSERT_TRUE(with.ran);
-  ASSERT_TRUE(without.ran);
-  EXPECT_TRUE(checker.ok()) << checker.report();
-  EXPECT_DOUBLE_EQ(with.elapsed, without.elapsed);
-  EXPECT_EQ(with.dir_lines, without.dir_lines);
-  EXPECT_EQ(with.final_data, without.final_data);
-  EXPECT_EQ(with.final_counter, without.final_counter);
-  EXPECT_EQ(with.final_slot, without.final_slot);
 }
 
 TEST(Checker, OracleTracksLastWriter) {

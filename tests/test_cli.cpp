@@ -72,6 +72,38 @@ TEST(Cli, MalformedNumbersExitWithUsage) {
               "--x expects a number, got '3.25s'");
 }
 
+// A value option given bare — last in argv, or followed by another --x —
+// is a usage error, not the string "true"; bare flags stay booleans.
+TEST(Cli, BareValueOptionExitsWithUsage) {
+  {
+    Cli c = make({"--metrics-out", "--log-level", "warn"});
+    EXPECT_EQ(c.get_string("metrics-out", ""), "");
+    EXPECT_EQ(c.get_string("log-level", ""), "warn");
+    EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+                "--metrics-out expects a value.*usage: prog");
+  }
+  {
+    Cli c = make({"--iters", "3", "--jobs"});
+    EXPECT_EQ(c.get_int("iters", 1), 3);
+    EXPECT_EQ(c.get_jobs(), 1);
+    EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+                "--jobs expects a value");
+  }
+  {
+    Cli c = make({"--x", "--fast"});
+    EXPECT_DOUBLE_EQ(c.get_double("x", 1.5), 1.5);
+    EXPECT_TRUE(c.get_flag("fast"));
+    EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+                "--x expects a value");
+  }
+}
+
+TEST(Cli, ValueAfterBareFormWins) {
+  Cli c = make({"--out", "--out=a.json"});
+  EXPECT_EQ(c.get_string("out", ""), "a.json");
+  c.finish();
+}
+
 TEST(Cli, DoubleParsing) {
   Cli c = make({"--x=3.25"});
   EXPECT_DOUBLE_EQ(c.get_double("x", 0), 3.25);

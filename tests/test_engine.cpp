@@ -4,12 +4,14 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/fanout.hpp"
 
 namespace capmem::sim {
 namespace {
@@ -573,8 +575,14 @@ TEST(Engine, DeterminismTranscript) {
   constexpr int kRing = 4;
   constexpr int kRounds = 4;
   Engine e(2026);
+  // The scheduler events reach the sink through the Fanout a Machine would
+  // build, so the transcript also pins their trace translation.
   TranscriptSink sink;
-  e.set_trace(&sink);
+  MachineConfig cfg = tiny_machine();
+  cfg.trace = &sink;
+  const Topology topo(cfg);
+  const std::unique_ptr<Fanout> fanout = Fanout::make(cfg, topo);
+  e.set_observer(fanout.get());
   Shared s{&e, {}};
 
   // Ring tasks: advance a per-task deterministic jitter (quantized so equal

@@ -13,11 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "check/workload.hpp"
 #include "exec/pool.hpp"
+#include "obs/attr.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/machine.hpp"
+#include "snap/snapshot.hpp"
 
 namespace capmem::obs {
 namespace {
@@ -304,22 +307,61 @@ sim::MachineConfig quiet_tiny() {
   return cfg;
 }
 
-TEST(TraceIntegration, SinksObserveNeverSteer) {
-  const double bare = run_workload(quiet_tiny(), nullptr, nullptr).elapsed;
-  NullSink null_sink;
-  const double nulled =
-      run_workload(quiet_tiny(), &null_sink, nullptr).elapsed;
-  const std::string path = tmp_path("steer_trace.json");
-  Registry reg;
-  double written = 0;
-  {
-    ChromeTraceWriter w(path);
-    written = run_workload(quiet_tiny(), &w, &reg).elapsed;
+// The seam's contract: every subset of the four MachineConfig observers
+// {trace, metrics, check, attr} (bit 0..3 of the parameter) leaves the
+// simulated results — and the snapshot bytes of the final machine — exactly
+// those of the detached run.
+class AttachInvariance : public ::testing::TestWithParam<int> {};
+
+struct ObservedRun {
+  check::WorkloadResult result;
+  std::vector<std::uint8_t> snapshot;
+};
+
+ObservedRun run_observed(int mask) {
+  check::WorkloadSpec spec;
+  spec.threads = 8;
+  spec.ops_per_thread = 120;
+  spec.seed = 7;
+  NullSink trace;
+  Registry metrics;
+  check::Checker checker(check::workload_config(spec));
+  attr::Sink attr;
+  check::WorkloadRun run(spec, (mask & 4) != 0 ? &checker : nullptr,
+                         (mask & 1) != 0 ? &trace : nullptr,
+                         (mask & 8) != 0 ? &attr : nullptr,
+                         (mask & 2) != 0 ? &metrics : nullptr);
+  run.run_until(0);
+  ObservedRun out;
+  out.snapshot = snap::encode(snap::capture(run.machine()),
+                              run.machine().config());
+  out.result = run.take_result();
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  if ((mask & 2) != 0) {
+    EXPECT_EQ(metrics.counter("sim.machines"), 1.0);
   }
-  EXPECT_DOUBLE_EQ(bare, nulled);
-  EXPECT_DOUBLE_EQ(bare, written);
-  std::remove(path.c_str());
+  if ((mask & 8) != 0) {
+    EXPECT_EQ(attr.machines(), 1u);
+  }
+  return out;
 }
+
+TEST_P(AttachInvariance, ObserversNeverSteer) {
+  static const ObservedRun detached = run_observed(0);
+  const ObservedRun observed = run_observed(GetParam());
+  const check::WorkloadResult& with = observed.result;
+  const check::WorkloadResult& without = detached.result;
+  ASSERT_TRUE(with.ran) << with.error;
+  ASSERT_TRUE(without.ran) << without.error;
+  EXPECT_DOUBLE_EQ(with.elapsed, without.elapsed);
+  EXPECT_EQ(with.dir_lines, without.dir_lines);
+  EXPECT_EQ(with.final_data, without.final_data);
+  EXPECT_EQ(with.final_counter, without.final_counter);
+  EXPECT_EQ(with.final_slot, without.final_slot);
+  EXPECT_EQ(observed.snapshot, detached.snapshot);
+}
+
+INSTANTIATE_TEST_SUITE_P(Subsets, AttachInvariance, ::testing::Range(0, 16));
 
 TEST(TraceIntegration, ChromeTraceIsValidJsonWithAllEventFamilies) {
   const std::string path = tmp_path("events_trace.json");
