@@ -60,6 +60,32 @@ void BM_LineTableFindStreamFootprint(benchmark::State& state) {
 }
 BENCHMARK(BM_LineTableFindStreamFootprint);
 
+// The directory's streaming life cycle: 64 threads each stream through a
+// 4096-line buffer of fresh lines (interleaved, as the engine runs them),
+// then every buffer is flushed line by line (find + drop, as flush_buffer
+// does). ~16 MB of lines per pass, so the table sits beyond the host L2.
+void BM_DirectoryStreamChurn(benchmark::State& state) {
+  constexpr Line kStreams = 64;
+  constexpr Line kLines = 4096;
+  constexpr Line kStride = Line{1} << 24;  // buffers far apart
+  Directory dir;
+  for (auto _ : state) {
+    for (Line i = 0; i < kLines; ++i) {
+      for (Line s = 0; s < kStreams; ++s) dir.entry(s * kStride + i).version++;
+    }
+    for (Line s = 0; s < kStreams; ++s) {
+      for (Line i = 0; i < kLines; ++i) {
+        if (const LineEntry* e = dir.find(s * kStride + i)) {
+          benchmark::DoNotOptimize(e->l1_mask);
+          dir.drop(s * kStride + i);
+        }
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kStreams * kLines);
+}
+BENCHMARK(BM_DirectoryStreamChurn);
+
 void BM_L1HitAccess(benchmark::State& state) {
   MachineConfig cfg = knl7210();
   cfg.noise.enabled = false;

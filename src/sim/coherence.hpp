@@ -21,7 +21,7 @@
 
 #include "common/units.hpp"
 #include "sim/address.hpp"
-#include "sim/line_table.hpp"
+#include "sim/line_pages.hpp"
 #include "sim/mem_map.hpp"
 #include "sim/protocol.hpp"
 #include "sim/state.hpp"
@@ -41,7 +41,7 @@ static_assert(sizeof(std::uint64_t) * 8 == kMaxCoherenceTiles,
 
 const char* to_string(TileState s);
 
-// One host cache line per entry: the directory pool is 64-byte aligned, so a
+// One host cache line per entry: directory pages are 64-byte aligned, so a
 // lookup touches exactly one line of entry data. Tiles are capped at
 // kMaxCoherenceTiles (64), so tile indices fit in int8_t; the snapshot
 // format (state::DirEntryState) keeps its int32 fields.
@@ -78,13 +78,13 @@ struct LineEntry {
 static_assert(sizeof(LineEntry) == 64,
               "LineEntry must fill exactly one host cache line");
 
-/// Stable pool index of a directory entry (see LineTable::Handle): valid
-/// from the entry's creation until its line is dropped.
-using DirHandle = LineTable<LineEntry>::Handle;
+/// Stable page-slot handle of a directory entry (see LinePages::Handle):
+/// valid from the entry's creation until its line is dropped.
+using DirHandle = LinePages<LineEntry>::Handle;
 
 class Directory {
  public:
-  static constexpr DirHandle kNoEntry = LineTable<LineEntry>::kNoHandle;
+  static constexpr DirHandle kNoEntry = LinePages<LineEntry>::kNoHandle;
 
   /// Entry for `line`, creating an Invalid one if absent. The reference is
   /// stable until this line is dropped.
@@ -95,9 +95,8 @@ class Directory {
   /// Same, also returning the entry's handle.
   LineEntry& entry(Line line, DirHandle& handle) {
     // One-slot cache: spin-waits and RFO sequences hit the same line many
-    // times in a row. Pool entries never move (chunked pool), so the cached
-    // pointer and handle survive unrelated inserts; they are dropped on
-    // erase/clear.
+    // times in a row. Pages never move, so the cached pointer and handle
+    // survive unrelated inserts; they are dropped on erase/clear.
     if (line != last_line_ || last_entry_ == nullptr) {
       last_line_ = line;
       last_handle_ = map_.try_emplace(line).first;
@@ -114,11 +113,9 @@ class Directory {
   /// Entry behind a live handle (no liveness check: callers hold handles
   /// only while the line is tracked).
   LineEntry& at(DirHandle h) { return map_.at(h); }
-  /// Entry behind an untrusted handle, nullptr when it is outside the pool
+  /// Entry behind an untrusted handle, nullptr when it names no live entry
   /// (validators compare the result with find(line)).
-  const LineEntry* resolve(DirHandle h) const {
-    return map_.in_pool(h) ? &map_.at(h) : nullptr;
-  }
+  const LineEntry* resolve(DirHandle h) const { return map_.resolve(h); }
   /// Drops `line`'s entry, which the caller has emptied (globally Invalid
   /// lines leave the table, keeping it compact).
   void drop(Line line) {
@@ -163,14 +160,14 @@ class Directory {
     last_entry_ = nullptr;
   }
 
-  /// Checkpoint support (capmem::snap). Entries export sorted by line (the
-  /// hash table's iteration order is unspecified); the memoized physical
+  /// Checkpoint support (capmem::snap). Entries export sorted by line (page
+  /// iteration order depends on insert history); the memoized physical
   /// target is derived data and recomputed lazily after import.
   std::vector<state::DirEntryState> export_state() const;
   void import_state(const std::vector<state::DirEntryState>& entries);
 
  private:
-  LineTable<LineEntry> map_;
+  LinePages<LineEntry> map_;
   Line last_line_ = ~0ull;
   LineEntry* last_entry_ = nullptr;
   DirHandle last_handle_ = kNoEntry;

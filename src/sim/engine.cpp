@@ -129,6 +129,9 @@ void Engine::release_sync() {
     }
     tmax = std::max(tmax, w.promise().clock);
   }
+  // A release from finish() can come after the engine clock passed every
+  // waiter (the finishing task ran ahead): release no earlier than now.
+  tmax = std::max(tmax, global_time_);
   for (Task::Handle w : sync_q_) {
     auto& p = w.promise();
     if (obs_) obs_->on_sync_wait(p.tid, p.clock, tmax, last_tid);

@@ -1,8 +1,9 @@
-// Open-addressing hash table mapping cache-line indices to LineEntry records.
+// Open-addressing hash table keyed by 64-bit line (or set/page) numbers.
 //
-// This is the hottest data structure in the simulator (every timed access
-// touches it several times); std::unordered_map's node-based layout was
-// measured at >60% of total runtime. Design:
+// It backs the engine's park table, the MCDRAM-cache tags and the page index
+// of the directory's LinePages (sim/line_pages.hpp). std::unordered_map's
+// node-based layout was measured at >60% of total runtime when it held the
+// directory. Design:
 //   * linear probing over a power-of-two slot array of (key, index) pairs —
 //     16 bytes per slot, cache friendly;
 //   * values live in a chunked pool with a free list: fixed ~16 KiB chunks
@@ -52,21 +53,15 @@ class LineTable {
 
   /// Pointer to the value for `key`, or nullptr.
   Value* find(std::uint64_t key) {
-    const Handle h = find_handle(key);
-    return h == kNoHandle ? nullptr : &at(h);
+    std::size_t i = probe_start(key);
+    while (slots_[i].idx != kNoHandle) {
+      if (slots_[i].key == key) return &at(slots_[i].idx);
+      i = (i + 1) & mask_;
+    }
+    return nullptr;
   }
   const Value* find(std::uint64_t key) const {
     return const_cast<LineTable*>(this)->find(key);
-  }
-
-  /// Handle of `key`'s value, or kNoHandle.
-  Handle find_handle(std::uint64_t key) const {
-    std::size_t i = probe_start(key);
-    while (slots_[i].idx != kNoHandle) {
-      if (slots_[i].key == key) return slots_[i].idx;
-      i = (i + 1) & mask_;
-    }
-    return kNoHandle;
   }
 
   /// Handle of `key`'s value, default-constructing it if absent; `second`
@@ -102,11 +97,6 @@ class LineTable {
   const Value& at(Handle h) const {
     return chunks_[h >> kShift].get()[h & kMask];
   }
-  /// Whether `h` indexes an allocated pool slot (live or free-listed);
-  /// lets validators resolve an untrusted handle without reading past the
-  /// pool.
-  bool in_pool(Handle h) const { return h < pool_size_; }
-
   /// Removes `key` if present; returns whether it was.
   bool erase(std::uint64_t key) {
     std::size_t i = probe_start(key);

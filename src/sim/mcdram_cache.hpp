@@ -4,9 +4,9 @@
 // snoop before evicting a line that may be modified in an L2.
 //
 // Only touched sets are materialized (a set -> resident-line LineTable, the
-// same flat table as the directory), so a full-size (16 GB) cache costs
-// host memory proportional to the working set, not the capacity, and a
-// disabled (flat-mode) cache allocates nothing.
+// same flat table as the engine park table), so a full-size (16 GB) cache
+// costs host memory proportional to the working set, not the capacity, and
+// a disabled (flat-mode) cache allocates nothing.
 #pragma once
 
 #include <cstdint>

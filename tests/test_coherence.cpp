@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/coherence.hpp"
 
 namespace capmem::sim {
@@ -79,6 +83,76 @@ TEST(Directory, DropCompactsAndResetsMemo) {
   // A dropped memoized line comes back as a fresh Invalid entry.
   EXPECT_EQ(d.entry(7).version, 0u);
   EXPECT_EQ(d.tracked_lines(), 1u);
+}
+
+// Field-by-field bytes of an export (struct padding excluded).
+std::vector<std::uint8_t> export_bytes(const Directory& d) {
+  std::vector<std::uint8_t> out;
+  auto put = [&out](const auto& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    out.insert(out.end(), p, p + sizeof(v));
+  };
+  for (const state::DirEntryState& e : d.export_state()) {
+    put(e.line);
+    put(e.l2_mask);
+    put(e.l1_mask);
+    put(e.owner);
+    put(e.forward);
+    put(e.dirty);
+    put(e.service_available);
+    put(e.last_write_visible);
+    put(e.version);
+  }
+  return out;
+}
+
+TEST(Directory, ExportIsIndependentOfInsertOrder) {
+  // Same live lines reached through different insert/drop histories, so the
+  // two directories place their pages in different slots.
+  std::vector<Line> lines;
+  for (Line l = 0; l < 64 * 40; l += 3) lines.push_back(l);
+  lines.push_back(Line{1} << 50);
+  std::vector<Line> shuffled = lines;
+  Rng rng(5);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  }
+  auto fill = [](Directory& d, Line line) {
+    LineEntry& e = d.entry(line);
+    e.l2_mask = 1ull << (line % 7);
+    e.l1_mask = 1ull << (line % 5);
+    e.owner = static_cast<std::int8_t>(line % 7);
+    e.dirty = (line & 1) != 0;
+    e.service_available = static_cast<Nanos>(line) * 0.5;
+    e.last_write_visible = static_cast<Nanos>(line) + 0.25;
+    e.version = line * 11;
+  };
+  Directory a;
+  Directory b;
+  for (Line l : lines) fill(a, l);
+  for (Line l = 64 * 50; l < 64 * 60; ++l) b.entry(l);  // extra pages first
+  for (Line l : shuffled) fill(b, l);
+  for (Line l = 64 * 50; l < 64 * 60; ++l) b.drop(l);
+  ASSERT_EQ(a.tracked_lines(), b.tracked_lines());
+  EXPECT_EQ(export_bytes(a), export_bytes(b));
+  // And the export is sorted by line.
+  const auto exported = a.export_state();
+  EXPECT_TRUE(std::is_sorted(
+      exported.begin(), exported.end(),
+      [](const auto& x, const auto& y) { return x.line < y.line; }));
+}
+
+TEST(Directory, ResolveMatchesFindForLiveHandlesOnly) {
+  Directory d;
+  DirHandle h;
+  LineEntry& e = d.entry(77, h);
+  EXPECT_EQ(d.resolve(h), &e);
+  EXPECT_EQ(d.find_handle(77), h);
+  EXPECT_EQ(&d.at(h), &e);
+  EXPECT_EQ(d.resolve(Directory::kNoEntry), nullptr);
+  d.drop(77);
+  EXPECT_EQ(d.resolve(h), nullptr);
+  EXPECT_EQ(d.find_handle(77), Directory::kNoEntry);
 }
 
 TEST(TileStateNames, AllDistinct) {

@@ -80,17 +80,23 @@ TEST(Engine, SyncAlignsClocksToMax) {
 TEST(Engine, SyncReleasedWhenOtherTaskFinishes) {
   // One task syncs, the other finishes without syncing: the barrier must
   // release once only live tasks remain.
+  // The release happens at the worker's finish (t=5), after the syncer's
+  // own clock (0): the syncer resumes at the engine clock, not behind it.
   Engine e(1);
   bool released = false;
-  auto syncer = [&]() -> Task {
+  Nanos released_at = -1;
+  Engine* ep = &e;
+  auto syncer = [&, ep]() -> Task {
     co_await SyncPoint{};
     released = true;
+    released_at = ep->task_handle(0).promise().clock;
   };
   auto worker = [&]() -> Task { co_await Advance{5.0}; };
   e.spawn(syncer());
   e.spawn(worker());
   e.run();
   EXPECT_TRUE(released);
+  EXPECT_DOUBLE_EQ(released_at, 5.0);
 }
 
 TEST(Engine, ParkAndNotifyWakesWithVisibleTime) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/coherence.hpp"
+#include "sim/line_pages.hpp"
 #include "sim/line_table.hpp"
 
 namespace capmem::sim {
@@ -116,7 +119,6 @@ TEST(LineTable, GrowsPastInitialCapacity) {
 TEST(LineTable, EmptyTableAnswersWithoutStorage) {
   LineTable<LineEntry> t;
   EXPECT_EQ(t.find(3), nullptr);
-  EXPECT_EQ(t.find_handle(3), LineTable<LineEntry>::kNoHandle);
   EXPECT_FALSE(t.erase(3));
   EXPECT_EQ(t.pool_slots(), 0u);
   std::size_t visited = 0;
@@ -150,7 +152,6 @@ TEST(LineTable, ReferencesStableAcrossChunkBoundariesAndRehash) {
       continue;
     }
     ASSERT_EQ(t.find(k), refs[k]) << k;
-    EXPECT_EQ(t.find_handle(k), handles[k]);
     EXPECT_EQ(&t.at(handles[k]), refs[k]);
     EXPECT_EQ(refs[k]->version, k);
   }
@@ -210,6 +211,214 @@ TEST(LineTable, ClearDestroysAndReusesPool) {
   t.clear();
   EXPECT_EQ(t.pool_slots(), 0u);
   EXPECT_TRUE(t.get_or_create(7).empty());  // fresh value, not a leftover
+}
+
+// ------------------------------------------------------------- LinePages
+
+using Pages = LinePages<LineEntry>;
+
+TEST(LinePages, MatchesStdMapUnderRandomOps) {
+  // Keys cluster in a few pages (so pages fill, empty and get reused) with
+  // some far-apart ones mixed in.
+  Pages t;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(91);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t key = rng.next_below(640);
+    if (rng.next_below(8) == 0) key += std::uint64_t{1} << 40;
+    switch (rng.next_below(3)) {
+      case 0: {
+        const auto [h, inserted] = t.try_emplace(key);
+        EXPECT_EQ(inserted, ref.count(key) == 0);
+        if (inserted) {
+          EXPECT_EQ(t.at(h).version, 0u);  // fresh, not reused
+        }
+        const std::uint64_t v = rng.next_below(1000);
+        t.at(h).version = v;
+        ref[key] = v;
+        break;
+      }
+      case 1:
+        EXPECT_EQ(t.erase(key), ref.erase(key) > 0);
+        break;
+      default: {
+        const LineEntry* found = t.find(key);
+        const auto it = ref.find(key);
+        if (it == ref.end()) {
+          EXPECT_EQ(found, nullptr);
+          EXPECT_EQ(t.find_handle(key), Pages::kNoHandle);
+        } else {
+          ASSERT_NE(found, nullptr);
+          EXPECT_EQ(found->version, it->second);
+          EXPECT_EQ(&t.at(t.find_handle(key)), found);
+        }
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size());
+  }
+  std::set<std::uint64_t> pages;
+  for (const auto& [key, v] : ref) pages.insert(key >> 6);
+  EXPECT_EQ(t.live_pages(), pages.size());
+}
+
+TEST(LinePages, HandlesAndReferencesStableAcrossInsertsAndDrops) {
+  Pages t;
+  // Lines 0..63 share page 0; 64.. and 1000.. live in other pages.
+  std::vector<Pages::Handle> handles;
+  std::vector<LineEntry*> refs;
+  for (std::uint64_t k = 0; k < 64; k += 2) {
+    const auto [h, inserted] = t.try_emplace(k);
+    ASSERT_TRUE(inserted);
+    t.at(h).version = k + 1;
+    handles.push_back(h);
+    refs.push_back(&t.at(h));
+  }
+  // Same-page churn on the odd lines, plus inserts and drops in other pages
+  // (enough to grow the page pool and the page index several times).
+  for (std::uint64_t k = 1; k < 64; k += 2) t.get_or_create(k);
+  for (std::uint64_t k = 64; k < 64 * 3000; ++k) t.get_or_create(k);
+  for (std::uint64_t k = 1; k < 64; k += 4) t.erase(k);
+  for (std::uint64_t k = 64; k < 64 * 3000; k += 3) t.erase(k);
+  for (std::uint64_t k = 0; k < 64; k += 2) {
+    const std::size_t i = k / 2;
+    EXPECT_EQ(t.find_handle(k), handles[i]) << k;
+    EXPECT_EQ(t.find(k), refs[i]) << k;
+    EXPECT_EQ(&t.at(handles[i]), refs[i]);
+    EXPECT_EQ(refs[i]->version, k + 1);
+    // A live handle re-emplaces to itself.
+    EXPECT_EQ(t.try_emplace(k), std::make_pair(handles[i], false));
+  }
+}
+
+TEST(LinePages, EntriesAreCacheLineAlignedAndAddressOrdered) {
+  Pages t;
+  for (std::uint64_t k = 128; k < 192; ++k) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(&t.get_or_create(k));
+    ASSERT_EQ(addr % 64, 0u) << k;
+    if (k > 128) {
+      EXPECT_EQ(addr - reinterpret_cast<std::uintptr_t>(t.find(k - 1)),
+                sizeof(LineEntry));
+    }
+  }
+  EXPECT_EQ(t.live_pages(), 1u);
+}
+
+TEST(LinePages, ReleasesEmptyPagesAndReusesThem) {
+  Pages t;
+  for (std::uint64_t k = 64; k < 128; ++k) t.get_or_create(k);
+  EXPECT_EQ(t.live_pages(), 1u);
+  for (std::uint64_t k = 64; k < 127; ++k) t.erase(k);
+  EXPECT_EQ(t.live_pages(), 1u);  // line 127 still holds the page
+  t.erase(127);
+  EXPECT_EQ(t.live_pages(), 0u);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.find(100), nullptr);
+  // A different page takes the released slot: the pool does not grow.
+  t.get_or_create(5000).version = 3;
+  EXPECT_EQ(t.pool_pages(), 1u);
+  EXPECT_EQ(t.find(5000)->version, 3u);
+  EXPECT_EQ(t.find(100), nullptr);  // the old page's lines stay dead
+}
+
+TEST(LinePages, PoolPagesPlateauUnderChurn) {
+  // 64 interleaved sequential streams of fresh lines, each dropped a window
+  // later, the way buffers are flushed between stream iterations.
+  Pages t;
+  constexpr std::uint64_t kStreams = 64;
+  constexpr std::uint64_t kStride = std::uint64_t{1} << 30;
+  constexpr std::uint64_t kWindow = 512;
+  std::size_t plateau = 0;
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    for (std::uint64_t s = 0; s < kStreams; ++s) {
+      t.get_or_create(s * kStride + i);
+      if (i >= kWindow) {
+        ASSERT_TRUE(t.erase(s * kStride + i - kWindow));
+      }
+    }
+    if (i == 4 * kWindow) plateau = t.pool_pages();
+  }
+  EXPECT_EQ(t.size(), kStreams * kWindow);
+  EXPECT_LE(plateau, kStreams * (kWindow / 64 + 1));
+  EXPECT_EQ(t.pool_pages(), plateau);
+}
+
+TEST(LinePages, ForEachVisitsExactlyTheLiveLines) {
+  Pages t;
+  std::set<std::uint64_t> live;
+  for (std::uint64_t k = 0; k < 64 * 6 + 17; ++k) {
+    t.get_or_create(k * 3).version = k * 3;
+    live.insert(k * 3);
+  }
+  for (std::uint64_t k = 100; k < 700; k += 2) {
+    t.erase(k);
+    live.erase(k);
+  }
+  std::set<std::uint64_t> seen;
+  bool values_match = true;
+  t.for_each([&](std::uint64_t k, const LineEntry& e) {
+    EXPECT_TRUE(seen.insert(k).second) << "visited twice: " << k;
+    values_match = values_match && e.version == k;
+  });
+  EXPECT_EQ(seen, live);
+  EXPECT_TRUE(values_match);
+}
+
+TEST(LinePages, WildKeys) {
+  Pages t;
+  const std::vector<std::uint64_t> keys = {
+      0,
+      63,
+      64,
+      std::uint64_t{1} << 50,
+      (std::uint64_t{1} << 50) + 1,
+      (std::uint64_t{1} << 52) + 63,
+      ~std::uint64_t{0} >> 6,  // the largest line of a 64-bit address space
+  };
+  for (std::uint64_t k : keys) t.get_or_create(k).version = k ^ 1;
+  EXPECT_EQ(t.size(), keys.size());
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.find((std::uint64_t{1} << 50) + 2), nullptr);
+  for (std::uint64_t k : keys) {
+    ASSERT_NE(t.find(k), nullptr) << k;
+    EXPECT_EQ(t.find(k)->version, k ^ 1);
+  }
+  std::vector<std::uint64_t> seen;
+  t.for_each([&](std::uint64_t k, const LineEntry&) { seen.push_back(k); });
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, keys);
+  for (std::uint64_t k : keys) EXPECT_TRUE(t.erase(k)) << k;
+  EXPECT_EQ(t.live_pages(), 0u);
+}
+
+TEST(LinePages, ResolveRejectsHandlesOutsidePoolAndDeadSlots) {
+  Pages t;
+  EXPECT_EQ(t.resolve(0), nullptr);  // empty table: no pool at all
+  EXPECT_EQ(t.resolve(Pages::kNoHandle), nullptr);
+  const auto [h, inserted] = t.try_emplace(130);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(t.resolve(h), t.find(130));
+  EXPECT_EQ(t.resolve(h + 1), nullptr);  // line 131: same page, not live
+  EXPECT_EQ(t.resolve(64), nullptr);     // slot 1: outside the pool
+  EXPECT_EQ(t.resolve(Pages::kNoHandle), nullptr);
+  t.erase(130);
+  EXPECT_EQ(t.resolve(h), nullptr);
+}
+
+TEST(LinePages, ClearKeepsPagesForReuse) {
+  Pages t;
+  for (std::uint64_t k = 0; k < 64 * 10; ++k) t.get_or_create(k).version = 7;
+  EXPECT_EQ(t.pool_pages(), 10u);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.live_pages(), 0u);
+  EXPECT_EQ(t.find(5), nullptr);
+  std::size_t visited = 0;
+  t.for_each([&](std::uint64_t, const LineEntry&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  for (std::uint64_t k = 64 * 100; k < 64 * 110; ++k) {
+    EXPECT_EQ(t.get_or_create(k).version, 0u);  // fresh, not a leftover
+  }
+  EXPECT_EQ(t.pool_pages(), 10u);
 }
 
 }  // namespace
