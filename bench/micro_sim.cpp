@@ -3,11 +3,13 @@
 // what dictated the scaled sizes documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/line_table.hpp"
 #include "sim/machine.hpp"
+#include "sort/bitonic_net.hpp"
 
 using namespace capmem;
 using namespace capmem::sim;
@@ -193,6 +195,47 @@ void BM_SpinWakeRoundTrip(benchmark::State& state) {
                           kRounds);
 }
 BENCHMARK(BM_SpinWakeRoundTrip);
+
+// Sort kernels (the sort's per-line host compute): 256 random inputs,
+// cycled, so the branch predictor cannot learn one input's outcomes.
+std::vector<sort::Vec16> random_lines(std::uint64_t seed, bool sorted) {
+  Rng rng(seed);
+  std::vector<sort::Vec16> out(256);
+  for (auto& v : out) {
+    for (auto& x : v) x = static_cast<std::int32_t>(rng.next_u64());
+    if (sorted) std::sort(v.begin(), v.end());
+  }
+  return out;
+}
+
+void BM_Merge16(benchmark::State& state) {
+  const std::vector<sort::Vec16> lo = random_lines(1, true);
+  const std::vector<sort::Vec16> hi = random_lines(2, true);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sort::Vec16 a = lo[i];
+    sort::Vec16 b = hi[i];
+    sort::merge16(a, b);
+    benchmark::DoNotOptimize(a);
+    benchmark::DoNotOptimize(b);
+    i = (i + 1) % lo.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Merge16);
+
+void BM_Sort16(benchmark::State& state) {
+  const std::vector<sort::Vec16> in = random_lines(3, false);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    sort::Vec16 v = in[i];
+    sort::sort16(v);
+    benchmark::DoNotOptimize(v);
+    i = (i + 1) % in.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Sort16);
 
 }  // namespace
 

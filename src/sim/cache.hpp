@@ -5,10 +5,11 @@
 // Storage is two contiguous (nsets * ways) planes — line tags and LRU
 // stamps — instead of a per-set heap vector; stamp == 0 marks an empty way
 // (the LRU clock starts at 1). Tags and stamps are split so presence scans
-// (contains/erase, the miss-heavy operations) touch half the bytes of an
-// interleaved layout. The accessors are defined inline: they sit on the
-// per-access hot path of MemSystem and are called tens of millions of times
-// per simulated second.
+// (lookup/contains/erase) touch half the bytes of an interleaved layout:
+// they compare the tag first and read a way's stamp only on a tag match, so
+// a miss reads the tag plane alone. The accessors are defined inline: they
+// sit on the per-access hot path of MemSystem and are called tens of
+// millions of times per simulated second.
 //
 // A cache filled through the handle-carrying insert gets a third plane: one
 // caller-defined 32-bit value per way, stored by insert and handed back for
@@ -34,6 +35,9 @@ namespace capmem::sim {
 
 class SetAssocCache {
  public:
+  /// victim_handle's "no victim" value.
+  static constexpr std::uint32_t kNoHandle = ~0u;
+
   /// `capacity_bytes` must be a multiple of ways*64.
   SetAssocCache(std::uint64_t capacity_bytes, int ways);
 
@@ -41,7 +45,7 @@ class SetAssocCache {
   bool lookup(Line line) {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] != 0 && lines_[base + w] == line) {
+      if (lines_[base + w] == line && stamps_[base + w] != 0) {
         stamps_[base + w] = ++clock_;
         return true;
       }
@@ -53,7 +57,7 @@ class SetAssocCache {
   bool contains(Line line) const {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] != 0 && lines_[base + w] == line) return true;
+      if (lines_[base + w] == line && stamps_[base + w] != 0) return true;
     }
     return false;
   }
@@ -78,11 +82,22 @@ class SetAssocCache {
     return evicted;
   }
 
+  /// Handle of the way an insert of `line` would evict, without touching
+  /// LRU order; kNoHandle while `line`'s set has an empty way or the cache
+  /// has no handle plane. Lets a caller prefetch the victim's record before
+  /// the fill.
+  std::uint32_t victim_handle(Line line) const {
+    if (handles_ == nullptr) return kNoHandle;
+    bool empty;
+    const std::size_t way = fill_way(set_base(line), empty);
+    return empty ? kNoHandle : handles_[way];
+  }
+
   /// Removes `line` if resident; returns whether it was.
   bool erase(Line line) {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] != 0 && lines_[base + w] == line) {
+      if (lines_[base + w] == line && stamps_[base + w] != 0) {
         stamps_[base + w] = 0;
         lines_[base + w] = 0;
         --resident_;
@@ -159,32 +174,36 @@ class SetAssocCache {
     handles_ = std::make_unique_for_overwrite<std::uint32_t[]>(lines_.size());
   }
 
-  /// Writes `line` into its set's first empty way, else over the LRU victim
-  /// (reported through `evicted`); returns the way's plane index.
-  std::size_t place(Line line, std::optional<Line>& evicted) {
-    const std::size_t base = set_base(line);
-    CAPMEM_DCHECK(!contains(line));
-    // One pass: first empty way, else the LRU victim (stamps are unique, so
-    // the minimum is unambiguous).
-    int empty = -1;
+  /// Plane index of the way a fill of the set at `base` takes: its first
+  /// empty way (`empty` = true), else the LRU victim (stamps are unique, so
+  /// the minimum is unambiguous). One pass over the stamps.
+  std::size_t fill_way(std::size_t base, bool& empty) const {
     int victim = 0;
     for (int w = 0; w < ways_; ++w) {
       if (stamps_[base + w] == 0) {
-        empty = w;
-        break;
+        empty = true;
+        return base + w;
       }
       if (stamps_[base + w] < stamps_[base + victim]) victim = w;
     }
-    if (empty >= 0) {
-      lines_[base + empty] = line;
-      stamps_[base + empty] = ++clock_;
-      ++resident_;
-      return base + empty;
-    }
-    evicted = lines_[base + victim];
-    lines_[base + victim] = line;
-    stamps_[base + victim] = ++clock_;
+    empty = false;
     return base + victim;
+  }
+
+  /// Writes `line` into its set's first empty way, else over the LRU victim
+  /// (reported through `evicted`); returns the way's plane index.
+  std::size_t place(Line line, std::optional<Line>& evicted) {
+    CAPMEM_DCHECK(!contains(line));
+    bool empty;
+    const std::size_t way = fill_way(set_base(line), empty);
+    if (empty) {
+      ++resident_;
+    } else {
+      evicted = lines_[way];
+    }
+    lines_[way] = line;
+    stamps_[way] = ++clock_;
+    return way;
   }
 
   std::size_t set_index(Line line) const {

@@ -113,6 +113,11 @@ class Directory {
   /// Entry behind a live handle (no liveness check: callers hold handles
   /// only while the line is tracked).
   LineEntry& at(DirHandle h) { return map_.at(h); }
+  /// Host prefetch hint for the entry behind `h` (kNoEntry: none); changes
+  /// no state.
+  void prefetch(DirHandle h) const {
+    if (h != kNoEntry) __builtin_prefetch(&map_.at(h), 1);
+  }
   /// Entry behind an untrusted handle, nullptr when it names no live entry
   /// (validators compare the result with find(line)).
   const LineEntry* resolve(DirHandle h) const { return map_.resolve(h); }

@@ -278,6 +278,11 @@ class Machine {
   /// Placement of the allocation containing `a` (cached lookup).
   const Allocation& allocation_of(Addr a);
 
+  /// Changes whenever the address space does (alloc, free, state import).
+  /// Awaiters that resolve allocations or backing bytes once per op compare
+  /// it to know their resolution is still current.
+  std::uint64_t space_epoch() const { return space_epoch_; }
+
   /// TSC skew of a core (tests need it to validate the window sync).
   Nanos tsc_skew(int core) const {
     return tsc_skew_.at(static_cast<std::size_t>(core));
@@ -334,8 +339,9 @@ class Machine {
   std::vector<Program> programs_;
   std::vector<Nanos> tsc_skew_;
   const Allocation* last_alloc_ = nullptr;
-  /// Bumped on every address-space mutation; in-flight RangeOps compare it
-  /// to know their resolved allocations are still current.
+  /// Bumped on every address-space mutation; in-flight RangeOps (and the
+  /// sort awaiters, through space_epoch()) compare it to know their
+  /// resolved allocations are still current.
   std::uint64_t space_epoch_ = 1;
   bool ran_ = false;       ///< run()/run_until() has started the schedule
   bool finished_ = false;  ///< schedule completed; epilogue already ran

@@ -238,6 +238,8 @@ Nanos MemSystem::core_issue(int core, Nanos now, Nanos occupancy) {
   return start + occupancy;
 }
 
+static_assert(SetAssocCache::kNoHandle == Directory::kNoEntry);
+
 void MemSystem::l1_insert(int core, Line line, LineEntry& e, DirHandle h) {
   SetAssocCache& l1 = l1_[static_cast<std::size_t>(core)];
   if (l1.contains(line)) return;
@@ -556,7 +558,12 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
 
   DirHandle eh;
   LineEntry& e = dir_.entry(line, eh);
-  const bool l1_hit = l1_[static_cast<std::size_t>(core)].lookup(line);
+  SetAssocCache& l1 = l1_[static_cast<std::size_t>(core)];
+  const bool l1_hit = l1.lookup(line);
+  // A miss usually ends in l1_insert, which clears the evicted line's bit
+  // in its (cold) directory entry: start that host miss now so it overlaps
+  // the L2 lookup, the directory service and memory_access.
+  if (!l1_hit) dir_.prefetch(l1.victim_handle(line));
   const bool l2_hit = l2_[static_cast<std::size_t>(tile)].lookup(line);
   CAPMEM_DCHECK(!l1_hit || l2_hit);
 

@@ -5,6 +5,9 @@
 // The networks really sort/merge host data; alongside the result they
 // report the AVX-512-style vector-operation count, which the simulator
 // charges as compute time (one 16-lane min/max or shuffle per operation).
+// On the host they run as branch-free vector code on 4 x 128-bit int32
+// lanes (baseline SSE2); sorting and merging have one correct output, so
+// the host form never changes a simulated result.
 #pragma once
 
 #include <array>
@@ -24,7 +27,8 @@ inline constexpr int kMerge16VectorOps = 20;
 /// Nanoseconds per vector operation on the modeled core (1.3 GHz, 2 VPUs).
 inline constexpr double kNsPerVectorOp = 0.385;
 
-/// Sorts 16 values in-place with the bitonic sorting network.
+/// Sorts 16 values in place: a 4-input network per column, a transpose,
+/// then bitonic merges of the sorted runs of 4 and of 8.
 void sort16(Vec16& v);
 
 /// Bitonic merge of two *sorted* vectors: afterwards `lo` holds the 16

@@ -8,7 +8,6 @@ namespace capmem::sort {
 
 using sim::AccessOpts;
 using sim::AccessType;
-using sim::Addr;
 using sim::Task;
 
 namespace {
@@ -30,87 +29,88 @@ AccessOpts write_opts(bool nt) {
 }
 }  // namespace
 
-void MergeOp::load_line(Addr a, Vec16& v) const {
-  std::memcpy(v.data(), ctx->machine().space().data(a, kLineBytes),
-              kLineBytes);
+LineRun LineRun::resolve(sim::Machine& m, sim::Addr base,
+                         std::uint64_t lines) {
+  LineRun r;
+  r.base = base;
+  r.place = m.allocation_of(base).place;
+  r.bytes = m.space().data(base, lines * kLineBytes);
+  return r;
 }
 
-void MergeOp::store_line(Addr a, const Vec16& v) const {
-  std::memcpy(ctx->machine().space().data(a, kLineBytes), v.data(),
-              kLineBytes);
+void MergeOp::resolve() {
+  sim::Machine& m = ctx->machine();
+  if (space_epoch_ == m.space_epoch()) return;
+  r1_ = LineRun::resolve(m, in1, n1);
+  r2_ = LineRun::resolve(m, in2, n2);
+  rout_ = LineRun::resolve(m, out, n1 + n2);
+  space_epoch_ = m.space_epoch();
 }
 
 void MergeOp::step(Task::Handle h) {
+  resolve();
   auto& p = h.promise();
   auto& mem = ctx->machine().memsys();
-  auto& machine = ctx->machine();
+  auto& engine = ctx->machine().engine();
   const int tid = ctx->tid();
   const int core = ctx->core();
   const AccessOpts ro = read_opts();
   const AccessOpts wo = write_opts(nt);
 
-  auto timed_read = [&](Addr a) {
-    p.clock = mem.access(tid, core, sim::line_of(a),
-                         machine.allocation_of(a).place, AccessType::kRead,
-                         ro, p.clock)
+  // Reads line i of `r` with timing into `v`.
+  auto timed_read = [&](const LineRun& r, std::uint64_t i, Vec16& v) {
+    p.clock = mem.access(tid, core, sim::line_of(r.line_addr(i)), r.place,
+                         AccessType::kRead, ro, p.clock)
                   .finish;
+    std::memcpy(v.data(), r.line_bytes(i), kLineBytes);
   };
-  auto timed_write = [&](Addr a) {
-    p.clock = mem.access(tid, core, sim::line_of(a),
-                         machine.allocation_of(a).place, AccessType::kWrite,
+  // Writes `v` as output line iout_ with timing.
+  auto timed_write = [&](const Vec16& v) {
+    std::memcpy(rout_.line_bytes(iout_), v.data(), kLineBytes);
+    const sim::Line line = sim::line_of(rout_.line_addr(iout_));
+    p.clock = mem.access(tid, core, line, rout_.place, AccessType::kWrite,
                          wo, p.clock)
                   .finish;
-    machine.engine().notify(sim::line_of(a), p.clock);
+    engine.notify(line, p.clock);
+    ++iout_;
   };
-  auto head_of = [&](Addr base, std::uint64_t idx) {
-    return *reinterpret_cast<const std::int32_t*>(
-        machine.space().data(base + idx * kLineBytes, 4));
+  auto head_of = [](const LineRun& r, std::uint64_t i) {
+    std::int32_t v;
+    std::memcpy(&v, r.line_bytes(i), sizeof v);
+    return v;
   };
 
   for (int budget = 0; budget < kChunk; ++budget) {
     if (!primed_) {
       Vec16 a, b;
-      timed_read(in1);
-      load_line(in1, a);
-      timed_read(in2);
-      load_line(in2, b);
+      timed_read(r1_, 0, a);
+      timed_read(r2_, 0, b);
       i1_ = 1;
       i2_ = 1;
       merge16(a, b);
       p.clock += merge16_ns();
-      store_line(out, a);
-      timed_write(out);
-      iout_ = 1;
+      timed_write(a);
       cur_ = b;
       primed_ = true;
       continue;
     }
     if (i1_ >= n1 && i2_ >= n2) {
       // Drain: the pending high vector is the final output line.
-      store_line(out + iout_ * kLineBytes, cur_);
-      timed_write(out + iout_ * kLineBytes);
-      ++iout_;
+      timed_write(cur_);
       CAPMEM_DCHECK(iout_ == n1 + n2);
       p.engine->requeue(h);
       return;
     }
     // Pull from the run whose next head is smaller (merge-path rule).
     Vec16 next;
-    if (i1_ < n1 &&
-        (i2_ >= n2 || head_of(in1, i1_) <= head_of(in2, i2_))) {
-      timed_read(in1 + i1_ * kLineBytes);
-      load_line(in1 + i1_ * kLineBytes, next);
-      ++i1_;
+    if (i1_ < n1 && (i2_ >= n2 || head_of(r1_, i1_) <= head_of(r2_, i2_))) {
+      timed_read(r1_, i1_++, next);
     } else {
-      timed_read(in2 + i2_ * kLineBytes);
-      load_line(in2 + i2_ * kLineBytes, next);
-      ++i2_;
+      timed_read(r2_, i2_++, next);
     }
     merge16(cur_, next);
     p.clock += merge16_ns();
-    store_line(out + iout_ * kLineBytes, cur_);
-    timed_write(out + iout_ * kLineBytes);
-    ++iout_;
+    timed_write(cur_);
     cur_ = next;
   }
   MergeOp* self = this;
@@ -123,9 +123,13 @@ void MergeOp::await_suspend(Task::Handle h) {
 }
 
 void SortLinesOp::step(Task::Handle h) {
-  auto& p = h.promise();
-  auto& mem = ctx->machine().memsys();
   auto& machine = ctx->machine();
+  if (space_epoch_ != machine.space_epoch()) {
+    run_ = LineRun::resolve(machine, buf, lines);
+    space_epoch_ = machine.space_epoch();
+  }
+  auto& p = h.promise();
+  auto& mem = machine.memsys();
   const AccessOpts ro = read_opts();
   AccessOpts wo;
   wo.streaming = true;
@@ -135,21 +139,20 @@ void SortLinesOp::step(Task::Handle h) {
       p.engine->requeue(h);
       return;
     }
-    const Addr a = buf + done_ * kLineBytes;
-    p.clock = mem.access(ctx->tid(), ctx->core(), sim::line_of(a),
-                         machine.allocation_of(a).place, AccessType::kRead,
-                         ro, p.clock)
+    const sim::Line line = sim::line_of(run_.line_addr(done_));
+    std::byte* const bytes = run_.line_bytes(done_);
+    p.clock = mem.access(ctx->tid(), ctx->core(), line, run_.place,
+                         AccessType::kRead, ro, p.clock)
                   .finish;
     Vec16 v;
-    std::memcpy(v.data(), machine.space().data(a, kLineBytes), kLineBytes);
+    std::memcpy(v.data(), bytes, kLineBytes);
     sort16(v);
     p.clock += sort16_ns();
-    std::memcpy(machine.space().data(a, kLineBytes), v.data(), kLineBytes);
-    p.clock = mem.access(ctx->tid(), ctx->core(), sim::line_of(a),
-                         machine.allocation_of(a).place, AccessType::kWrite,
-                         wo, p.clock)
+    std::memcpy(bytes, v.data(), kLineBytes);
+    p.clock = mem.access(ctx->tid(), ctx->core(), line, run_.place,
+                         AccessType::kWrite, wo, p.clock)
                   .finish;
-    machine.engine().notify(sim::line_of(a), p.clock);
+    machine.engine().notify(line, p.clock);
     ++done_;
   }
   SortLinesOp* self = this;

@@ -4,12 +4,33 @@
 // and writes one line).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/machine.hpp"
 #include "sort/bitonic_net.hpp"
 
 namespace capmem::sort {
+
+/// A run of whole lines inside one data-carrying allocation, resolved once
+/// per op: the allocation's placement and the run's backing bytes. Merging
+/// alternates between the source and destination buffers line by line,
+/// which defeats the machine's one-entry allocation memo, so per-line
+/// lookups would each walk the allocation table.
+struct LineRun {
+  sim::Addr base = 0;
+  sim::Placement place;
+  std::byte* bytes = nullptr;
+
+  /// The run of `lines` lines at `base`; throws CheckError unless it lies
+  /// inside one data-carrying allocation.
+  static LineRun resolve(sim::Machine& m, sim::Addr base,
+                         std::uint64_t lines);
+  sim::Addr line_addr(std::uint64_t i) const { return base + i * kLineBytes; }
+  std::byte* line_bytes(std::uint64_t i) const {
+    return bytes + i * kLineBytes;
+  }
+};
 
 /// Merges the sorted runs [in1, in1_lines) and [in2, in2_lines) into `out`
 /// (disjoint from the inputs). All sizes in cache lines (16 int32 each).
@@ -39,9 +60,12 @@ struct MergeOp {
 
  private:
   void step(sim::Task::Handle h);
-  void load_line(sim::Addr a, Vec16& v) const;
-  void store_line(sim::Addr a, const Vec16& v) const;
+  /// (Re)resolves the three runs when the address space changed since the
+  /// last resolution.
+  void resolve();
 
+  LineRun r1_, r2_, rout_;
+  std::uint64_t space_epoch_ = 0;
   std::uint64_t i1_ = 0, i2_ = 0, iout_ = 0;
   Vec16 cur_{};
   bool primed_ = false;
@@ -69,6 +93,8 @@ struct SortLinesOp {
 
  private:
   void step(sim::Task::Handle h);
+  LineRun run_;
+  std::uint64_t space_epoch_ = 0;
   std::uint64_t done_ = 0;
 };
 

@@ -62,20 +62,14 @@ SortRun parallel_merge_sort(const sim::MachineConfig& cfg,
 
   // Fill with deterministic pseudo-random keys (host side: the paper's
   // harness also generates input outside the timed region).
-  {
-    Rng rng(opts.seed);
-    auto* data = reinterpret_cast<std::int32_t*>(
-        m.space().data(buf_a, bytes));
-    for (std::uint64_t i = 0; i < bytes / 4; ++i) {
-      data[i] = static_cast<std::int32_t>(rng.next_u64());
-    }
-  }
   std::uint64_t expected_sum = 0;
   {
-    const auto* data = reinterpret_cast<const std::int32_t*>(
-        m.space().data(buf_a, bytes));
+    Rng rng(opts.seed);
+    std::byte* data = m.space().data(buf_a, bytes);
     for (std::uint64_t i = 0; i < bytes / 4; ++i) {
-      expected_sum += static_cast<std::uint32_t>(data[i]);
+      const auto key = static_cast<std::int32_t>(rng.next_u64());
+      std::memcpy(data + i * 4, &key, 4);
+      expected_sum += static_cast<std::uint32_t>(key);
     }
   }
 
@@ -156,13 +150,16 @@ SortRun parallel_merge_sort(const sim::MachineConfig& cfg,
     // parity (local levels + stages swaps).
     const int swaps = local_levels + stages;
     const Addr final_buf = (swaps % 2 == 0) ? buf_a : buf_b;
-    const auto* data = reinterpret_cast<const std::int32_t*>(
-        m.space().data(final_buf, bytes));
+    const std::byte* data = m.space().data(final_buf, bytes);
     std::uint64_t sum = 0;
     bool sorted = true;
+    std::int32_t prev = 0;
     for (std::uint64_t i = 0; i < bytes / 4; ++i) {
-      sum += static_cast<std::uint32_t>(data[i]);
-      if (i > 0 && data[i] < data[i - 1]) sorted = false;
+      std::int32_t key;
+      std::memcpy(&key, data + i * 4, 4);
+      sum += static_cast<std::uint32_t>(key);
+      if (i > 0 && key < prev) sorted = false;
+      prev = key;
     }
     result.sorted_ok = sorted;
     result.checksum_ok = sum == expected_sum;

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/machine.hpp"
@@ -66,6 +68,95 @@ TEST(Bitonic, Merge16MergesSortedVectors) {
                 ref[static_cast<std::size_t>(k)]);
       ASSERT_EQ(b[static_cast<std::size_t>(k)],
                 ref[static_cast<std::size_t>(k + 16)]);
+    }
+  }
+}
+
+TEST(Bitonic, Merge16ZeroOnePrinciple) {
+  // A merging network merges everything iff it merges all sorted 0/1
+  // inputs: a sorted 0/1 vector is fixed by its count of ones, so check all
+  // 17 x 17 pairs.
+  for (int ones_a = 0; ones_a <= 16; ++ones_a) {
+    for (int ones_b = 0; ones_b <= 16; ++ones_b) {
+      Vec16 a, b;
+      for (int i = 0; i < 16; ++i) {
+        a[static_cast<std::size_t>(i)] = i >= 16 - ones_a ? 1 : 0;
+        b[static_cast<std::size_t>(i)] = i >= 16 - ones_b ? 1 : 0;
+      }
+      merge16(a, b);
+      const int ones = ones_a + ones_b;
+      for (int i = 0; i < 32; ++i) {
+        const std::int32_t got = i < 16 ? a[static_cast<std::size_t>(i)]
+                                        : b[static_cast<std::size_t>(i - 16)];
+        ASSERT_EQ(got, i >= 32 - ones ? 1 : 0)
+            << "ones_a=" << ones_a << " ones_b=" << ones_b << " i=" << i;
+      }
+    }
+  }
+}
+
+// Inputs that catch an unsigned compare (INT_MIN above INT_MAX), a wrong
+// lane shuffle (reverse-sorted, duplicates) or a lost value.
+std::vector<Vec16> edge_vectors() {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  std::vector<Vec16> out;
+  Vec16 v;
+  v.fill(7);
+  out.push_back(v);  // all equal
+  v.fill(kMin);
+  out.push_back(v);
+  v.fill(kMax);
+  out.push_back(v);
+  for (int i = 0; i < 16; ++i) v[static_cast<std::size_t>(i)] = 15 - i;
+  out.push_back(v);  // reverse-sorted
+  for (int i = 0; i < 16; ++i)
+    v[static_cast<std::size_t>(i)] = i % 2 == 0 ? kMax : kMin;
+  out.push_back(v);
+  for (int i = 0; i < 16; ++i)
+    v[static_cast<std::size_t>(i)] = (i % 3 == 0 ? kMin : kMax) - i % 3;
+  out.push_back(v);
+  for (int i = 0; i < 16; ++i)
+    v[static_cast<std::size_t>(i)] = i < 8 ? -1 - i : i;  // signs mixed
+  out.push_back(v);
+  for (int i = 0; i < 16; ++i) v[static_cast<std::size_t>(i)] = (15 - i) / 4;
+  out.push_back(v);  // reverse-sorted runs of duplicates
+  Rng rng(3);
+  for (int k = 0; k < 8; ++k) {
+    for (auto& x : v) {
+      const std::uint64_t r = rng.next_u64();
+      x = r % 3 == 0 ? kMin : r % 3 == 1 ? kMax : static_cast<std::int32_t>(r);
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(Bitonic, Sort16ExtremesAndDuplicates) {
+  for (Vec16 v : edge_vectors()) {
+    Vec16 ref = v;
+    std::sort(ref.begin(), ref.end());
+    sort16(v);
+    EXPECT_EQ(v, ref);
+  }
+}
+
+TEST(Bitonic, Merge16ExtremesAndDuplicates) {
+  const std::vector<Vec16> vs = edge_vectors();
+  for (Vec16 a0 : vs) {
+    for (Vec16 b0 : vs) {
+      std::sort(a0.begin(), a0.end());
+      std::sort(b0.begin(), b0.end());
+      std::array<std::int32_t, 32> ref;
+      std::merge(a0.begin(), a0.end(), b0.begin(), b0.end(), ref.begin());
+      Vec16 a = a0, b = b0;
+      merge16(a, b);
+      for (int k = 0; k < 16; ++k) {
+        ASSERT_EQ(a[static_cast<std::size_t>(k)],
+                  ref[static_cast<std::size_t>(k)]);
+        ASSERT_EQ(b[static_cast<std::size_t>(k)],
+                  ref[static_cast<std::size_t>(k + 16)]);
+      }
     }
   }
 }
@@ -134,6 +225,35 @@ TEST(MergeOp, UnevenRunLengths) {
       m.space().data(out, (n1 + n2) * kLineBytes));
   for (std::uint64_t i = 1; i < (n1 + n2) * 16; ++i)
     ASSERT_LE(got[i - 1], got[i]);
+}
+
+TEST(MergeOp, RunCrossingItsAllocationThrows) {
+  // The output run is one line longer than its buffer: the whole-run bounds
+  // check rejects it before any line moves.
+  MachineConfig cfg = knl7210();
+  sim::Machine m(cfg);
+  const std::uint64_t n1 = 2, n2 = 2;
+  const sim::Addr a = m.alloc("a", n1 * kLineBytes, {}, true);
+  const sim::Addr b = m.alloc("b", n2 * kLineBytes, {}, true);
+  const sim::Addr out = m.alloc("out", (n1 + n2 - 1) * kLineBytes, {}, true);
+  m.add_thread({0, 0}, [&](sim::Ctx& ctx) -> sim::Task {
+    co_await merge_runs(ctx, out, a, n1, b, n2);
+  });
+  EXPECT_THROW(m.run(), CheckError);
+}
+
+TEST(MergeOp, InputRunCrossingIntoTheNextAllocationThrows) {
+  // `a` is followed directly by `b`: a run of a that spills into b is still
+  // a run that crosses its allocation.
+  MachineConfig cfg = knl7210();
+  sim::Machine m(cfg);
+  const sim::Addr a = m.alloc("a", 2 * kLineBytes, {}, true);
+  const sim::Addr b = m.alloc("b", 2 * kLineBytes, {}, true);
+  const sim::Addr out = m.alloc("out", 6 * kLineBytes, {}, true);
+  m.add_thread({0, 0}, [&](sim::Ctx& ctx) -> sim::Task {
+    co_await merge_runs(ctx, out, a, 3, b, 2);
+  });
+  EXPECT_THROW(m.run(), CheckError);
 }
 
 TEST(SortLines, SortsEachLineIndependently) {
