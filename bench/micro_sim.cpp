@@ -78,7 +78,7 @@ void BM_DirectoryStreamChurn(benchmark::State& state) {
     for (Line s = 0; s < kStreams; ++s) {
       for (Line i = 0; i < kLines; ++i) {
         if (const LineEntry* e = dir.find(s * kStride + i)) {
-          benchmark::DoNotOptimize(e->l1_mask);
+          benchmark::DoNotOptimize(e->version);
           dir.drop(s * kStride + i);
         }
       }
@@ -125,6 +125,39 @@ void BM_StreamMissAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamMissAccess);
+
+// The 64-thread stream cells: every core streams fresh lines of its own
+// buffer, interleaved one line per core as the engine runs them. An L1
+// victim was filled 64 * 512 accesses earlier, so its line's directory
+// entry has gone host-cold; the single-core stream above keeps it hot.
+void BM_StreamMissAccess64(benchmark::State& state) {
+  MachineConfig cfg = knl7210();
+  cfg.noise.enabled = false;
+  Topology topo(cfg);
+  Rng rng(1);
+  MemSystem mem(cfg, topo, rng);
+  Placement place;
+  AccessOpts opts;
+  opts.streaming = true;
+  constexpr Line kStride = Line{1} << 24;  // buffers far apart
+  const int cores = cfg.cores();
+  std::vector<Nanos> now(static_cast<std::size_t>(cores), 0.0);
+  int core = 0;
+  Line line = 0;
+  for (auto _ : state) {
+    Nanos& t = now[static_cast<std::size_t>(core)];
+    t = mem.access(core, core, static_cast<Line>(core) * kStride + line,
+                   place, AccessType::kRead, opts, t)
+            .finish;
+    benchmark::DoNotOptimize(t);
+    if (++core == cores) {
+      core = 0;
+      ++line;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamMissAccess64);
 
 // Every access evicts an L1 line: one core cycles over 4096 lines (8x its
 // 512-line L1, well inside the tile's L2), so after the first pass each

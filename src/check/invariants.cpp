@@ -19,11 +19,9 @@ void add(std::vector<Violation>& out, sim::Line line,
 void InvariantChecker::check_entry(sim::Line line, const sim::LineEntry& e,
                                    const sim::MemSystem& mem,
                                    std::vector<Violation>& out) const {
-  // Mask width: no bits beyond the active tiles / cores.
+  // Mask width: no bits beyond the active tiles.
   if (tiles_ < 64 && (e.l2_mask >> tiles_) != 0)
     add(out, line, "invariant: l2_mask has bits beyond the active tiles");
-  if (cores_ < 64 && (e.l1_mask >> cores_) != 0)
-    add(out, line, "invariant: l1_mask has bits beyond the active cores");
 
   if (e.owner >= 0) {
     // Owned line: the owner holds a copy; unless the protocol shares dirty
@@ -87,19 +85,10 @@ void InvariantChecker::check_entry(sim::Line line, const sim::LineEntry& e,
     add(out, line, os.str());
   }
 
-  // L1 bits: present in the actual L1, and included in the holder tile's
-  // L2 residency (the hierarchy is inclusive).
+  // L1 copies (the L1 tag arrays are their only record) must be included
+  // in the holder tile's L2 residency: the hierarchy is inclusive.
   for (int c = 0; c < cores_; ++c) {
-    const bool claimed = (e.l1_mask >> c) & 1ull;
-    const bool resident = mem.line_in_l1(c, line);
-    if (claimed != resident) {
-      std::ostringstream os;
-      os << "invariant: l1_mask/core " << c << " disagree (mask "
-         << claimed << ", tag array " << resident << ")";
-      add(out, line, os.str());
-      continue;
-    }
-    if (claimed && !e.present_in_tile(mem.tile_of_core(c))) {
+    if (mem.line_in_l1(c, line) && !e.present_in_tile(mem.tile_of_core(c))) {
       std::ostringstream os;
       os << "invariant: L1 copy in core " << c
          << " without L2 backing in its tile";
@@ -128,21 +117,17 @@ void InvariantChecker::sweep(const sim::MemSystem& mem,
       }
     });
   }
-  // Each L1 way also carries its line's directory handle (the eviction
-  // path clears the victim's bit through it): it must resolve to the very
-  // entry the line hashes to.
+  // Inclusion over the L1 tag arrays: every resident L1 line has an entry
+  // whose sharer set holds the core's tile.
   for (int c = 0; c < cores_; ++c) {
-    mem.l1_cache(c).for_each_handle([&](sim::Line line, sim::DirHandle h) {
+    const int tile = mem.tile_of_core(c);
+    mem.l1_cache(c).for_each_line([&](sim::Line line) {
       const sim::LineEntry* e = mem.directory().find(line);
-      if (e == nullptr || !((e->l1_mask >> c) & 1ull)) {
+      if (e == nullptr || !e->present_in_tile(tile)) {
         std::ostringstream os;
         os << "invariant: L1 tag in core " << c
-           << " with no directory record";
-        add(out, line, os.str());
-      } else if (mem.directory().resolve(h) != e) {
-        std::ostringstream os;
-        os << "invariant: L1 tag in core " << c
-           << " holds a stale directory handle " << h;
+           << " with no L2 backing in tile " << tile
+           << " per the directory";
         add(out, line, os.str());
       }
     });

@@ -2,8 +2,9 @@
 //
 // Directory::check_entry validates an entry in isolation; this module
 // validates the entry *against the machine*: the directory's sharer sets
-// must agree with the actual L1/L2 tag arrays, L1 residency must be
-// included in the holding tile's L2 residency, and the home-CHA mapping
+// must agree with the actual L2 tag arrays, every line in an L1 tag array
+// must be in its tile's sharer set (the L1 tags are the only record of L1
+// residency, and the hierarchy is inclusive), and the home-CHA mapping
 // must resolve every line to the same directory tile for the whole run
 // (under all five cluster modes the mapping is a pure function of the
 // line). The cross-structure checks are what catch bugs the entry-local
@@ -43,8 +44,7 @@ class InvariantChecker {
   /// line: single owner (sole copy unless the protocol shares dirty lines),
   /// dirty implies owner, F implies a sharer (and forbidden entirely when
   /// the protocol has no F), directory sharer set == actual L2 residency,
-  /// L1 bits == actual L1 residency and included in the holder tile's L2
-  /// set.
+  /// every L1 copy included in the holder tile's sharer set.
   void check_entry(sim::Line line, const sim::LineEntry& e,
                    const sim::MemSystem& mem,
                    std::vector<Violation>& out) const;

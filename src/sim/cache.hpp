@@ -11,18 +11,14 @@
 // sit on the per-access hot path of MemSystem and are called tens of
 // millions of times per simulated second.
 //
-// A cache filled through the handle-carrying insert gets a third plane: one
-// caller-defined 32-bit value per way, stored by insert and handed back for
-// the victim. The L1s keep each resident line's directory handle there, so
-// an L1 eviction updates the victim's directory entry without a hash probe.
-// The plane is allocated on that first insert and left uninitialized (a
-// way's handle is read only while the way is resident, i.e. after insert
-// wrote it), so a cache that is never filled costs nothing for it.
+// The L1 tag arrays are the only record of which cores hold a line in L1:
+// the directory tracks L2 sharers only, and drops the L1 copies of a tile by
+// erasing the line from its cores' L1s (an erase of a non-resident line is a
+// no-op and leaves LRU order alone).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,9 +31,6 @@ namespace capmem::sim {
 
 class SetAssocCache {
  public:
-  /// victim_handle's "no victim" value.
-  static constexpr std::uint32_t kNoHandle = ~0u;
-
   /// `capacity_bytes` must be a multiple of ways*64.
   SetAssocCache(std::uint64_t capacity_bytes, int ways);
 
@@ -62,35 +55,31 @@ class SetAssocCache {
     return false;
   }
 
-  /// Inserts `line` (must not be resident); returns the evicted line, if
-  /// the target set was full.
+  /// Inserts `line` (must not be resident) into its set's first empty way,
+  /// else over the LRU victim (stamps are unique, so the minimum is
+  /// unambiguous); returns the evicted line, if the set was full.
   std::optional<Line> insert(Line line) {
+    CAPMEM_DCHECK(!contains(line));
+    const std::size_t base = set_base(line);
+    std::size_t way = base;
+    bool full = true;
+    for (int w = 0; w < ways_; ++w) {
+      if (stamps_[base + w] == 0) {
+        way = base + w;
+        full = false;
+        break;
+      }
+      if (stamps_[base + w] < stamps_[way]) way = base + w;
+    }
     std::optional<Line> evicted;
-    place(line, evicted);
+    if (full) {
+      evicted = lines_[way];
+    } else {
+      ++resident_;
+    }
+    lines_[way] = line;
+    stamps_[way] = ++clock_;
     return evicted;
-  }
-  /// Same, storing `handle` beside the tag; when a line is evicted, sets
-  /// `victim_handle` to its handle. A cache must be filled through one
-  /// insert form only.
-  std::optional<Line> insert(Line line, std::uint32_t handle,
-                             std::uint32_t& victim_handle) {
-    if (handles_ == nullptr) allocate_handles();
-    std::optional<Line> evicted;
-    const std::size_t way = place(line, evicted);
-    if (evicted) victim_handle = handles_[way];
-    handles_[way] = handle;
-    return evicted;
-  }
-
-  /// Handle of the way an insert of `line` would evict, without touching
-  /// LRU order; kNoHandle while `line`'s set has an empty way or the cache
-  /// has no handle plane. Lets a caller prefetch the victim's record before
-  /// the fill.
-  std::uint32_t victim_handle(Line line) const {
-    if (handles_ == nullptr) return kNoHandle;
-    bool empty;
-    const std::size_t way = fill_way(set_base(line), empty);
-    return empty ? kNoHandle : handles_[way];
   }
 
   /// Removes `line` if resident; returns whether it was.
@@ -127,27 +116,8 @@ class SetAssocCache {
     }
   }
 
-  /// Visits every resident (line, handle) of a cache filled with handles.
-  template <typename Fn>
-  void for_each_handle(Fn&& fn) const {
-    for (std::size_t i = 0; i < stamps_.size(); ++i) {
-      if (stamps_[i] != 0) fn(lines_[i], handles_[i]);
-    }
-  }
-  /// Rewrites every resident way's handle as `fn(line)` (rebuilding the
-  /// derived plane after import_state).
-  template <typename Fn>
-  void rebind_handles(Fn&& fn) {
-    for (std::size_t i = 0; i < stamps_.size(); ++i) {
-      if (stamps_[i] == 0) continue;
-      if (handles_ == nullptr) allocate_handles();
-      handles_[i] = fn(lines_[i]);
-    }
-  }
-
   /// Checkpoint support (capmem::snap): the tag and LRU planes plus the LRU
-  /// clock. The handle plane is derived data: the owner rebuilds it after an
-  /// import (rebind_handles).
+  /// clock.
   /// The plane layout is position-deterministic (set index, way order), so
   /// exports are byte-stable across processes. Import requires matching
   /// geometry — snapshots only restore onto the config they captured.
@@ -170,42 +140,6 @@ class SetAssocCache {
   }
 
  private:
-  void allocate_handles() {
-    handles_ = std::make_unique_for_overwrite<std::uint32_t[]>(lines_.size());
-  }
-
-  /// Plane index of the way a fill of the set at `base` takes: its first
-  /// empty way (`empty` = true), else the LRU victim (stamps are unique, so
-  /// the minimum is unambiguous). One pass over the stamps.
-  std::size_t fill_way(std::size_t base, bool& empty) const {
-    int victim = 0;
-    for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] == 0) {
-        empty = true;
-        return base + w;
-      }
-      if (stamps_[base + w] < stamps_[base + victim]) victim = w;
-    }
-    empty = false;
-    return base + victim;
-  }
-
-  /// Writes `line` into its set's first empty way, else over the LRU victim
-  /// (reported through `evicted`); returns the way's plane index.
-  std::size_t place(Line line, std::optional<Line>& evicted) {
-    CAPMEM_DCHECK(!contains(line));
-    bool empty;
-    const std::size_t way = fill_way(set_base(line), empty);
-    if (empty) {
-      ++resident_;
-    } else {
-      evicted = lines_[way];
-    }
-    lines_[way] = line;
-    stamps_[way] = ++clock_;
-    return way;
-  }
-
   std::size_t set_index(Line line) const {
     // nsets is a power of two for every real configuration; scaled test
     // machines may produce odd counts, hence the modulo fallback.
@@ -222,7 +156,6 @@ class SetAssocCache {
   std::uint64_t resident_ = 0;
   std::vector<Line> lines_;           // tag plane
   std::vector<std::uint64_t> stamps_;  // LRU plane; 0 = empty way
-  std::unique_ptr<std::uint32_t[]> handles_;  // handle plane, or null
 };
 
 }  // namespace capmem::sim

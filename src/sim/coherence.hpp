@@ -3,8 +3,11 @@
 // the MESI/MOSI variants selected through sim/protocol.hpp).
 //
 // State is tracked at tile granularity, matching the paper's benchmarks: the
-// unit of coherence is an L2 line in some tile, plus L1 presence bits per
-// core. The classic states map onto this record as:
+// unit of coherence is an L2 line in some tile. L1 presence is not recorded
+// here: the hierarchy is inclusive, so a core's L1 can hold a line only
+// while its tile's L2 does, and the memory system drops a tile's L1 copies
+// by erasing the line from its cores' L1 tag arrays. The classic states map
+// onto this record as:
 //   M/E — `owner` tile set, `dirty` distinguishes M from E
 //   O   — `owner` set and dirty with other sharers in `l2_mask` (MOSI only)
 //   S   — no owner; one or more tiles in `l2_mask`
@@ -32,22 +35,23 @@ namespace capmem::sim {
 /// cache-to-cache benchmarks prepare and measure, plus MOSI's O).
 enum class TileState { kI, kS, kE, kM, kF, kO };
 
-// The sharer/presence bitmaps below are single 64-bit words; every machine
-// shape is capped at kMaxCoherenceTiles tiles (and 64 cores) and
-// MachineConfig::validate enforces it before a Topology is ever built.
+// The sharer bitmap below is a single 64-bit word; every machine shape is
+// capped at kMaxCoherenceTiles tiles (and 64 cores, the width of the
+// snapshot's per-line L1 presence mask) and MachineConfig::validate enforces
+// it before a Topology is ever built.
 static_assert(sizeof(std::uint64_t) * 8 == kMaxCoherenceTiles,
-              "LineEntry::l2_mask/l1_mask width must match the configured "
+              "LineEntry::l2_mask width must match the configured "
               "coherence-tile limit");
 
 const char* to_string(TileState s);
 
-// One host cache line per entry: directory pages are 64-byte aligned, so a
-// lookup touches exactly one line of entry data. Tiles are capped at
-// kMaxCoherenceTiles (64), so tile indices fit in int8_t; the snapshot
-// format (state::DirEntryState) keeps its int32 fields.
-struct LineEntry {
+// One host cache line per entry (alignas pads the record to 64 bytes):
+// directory pages are 64-byte aligned, so a lookup touches exactly one line
+// of entry data. Tiles are capped at kMaxCoherenceTiles (64), so tile
+// indices fit in int8_t; the snapshot format (state::DirEntryState) keeps
+// its int32 fields.
+struct alignas(64) LineEntry {
   std::uint64_t l2_mask = 0;  ///< tiles with the line in L2
-  std::uint64_t l1_mask = 0;  ///< cores with the line in L1
 
   /// Memoized physical target. The address map is a pure function of
   /// (line, placement), and virtual addresses are never reused within a
@@ -78,49 +82,23 @@ struct LineEntry {
 static_assert(sizeof(LineEntry) == 64,
               "LineEntry must fill exactly one host cache line");
 
-/// Stable page-slot handle of a directory entry (see LinePages::Handle):
-/// valid from the entry's creation until its line is dropped.
-using DirHandle = LinePages<LineEntry>::Handle;
-
 class Directory {
  public:
-  static constexpr DirHandle kNoEntry = LinePages<LineEntry>::kNoHandle;
-
   /// Entry for `line`, creating an Invalid one if absent. The reference is
   /// stable until this line is dropped.
   LineEntry& entry(Line line) {
-    DirHandle h;
-    return entry(line, h);
-  }
-  /// Same, also returning the entry's handle.
-  LineEntry& entry(Line line, DirHandle& handle) {
     // One-slot cache: spin-waits and RFO sequences hit the same line many
-    // times in a row. Pages never move, so the cached pointer and handle
-    // survive unrelated inserts; they are dropped on erase/clear.
+    // times in a row. Pages never move, so the cached pointer survives
+    // unrelated inserts; it is dropped on erase/clear.
     if (line != last_line_ || last_entry_ == nullptr) {
       last_line_ = line;
-      last_handle_ = map_.try_emplace(line).first;
-      last_entry_ = &map_.at(last_handle_);
+      last_entry_ = &map_.get_or_create(line);
     }
-    handle = last_handle_;
     return *last_entry_;
   }
   /// Entry if tracked, nullptr otherwise.
   const LineEntry* find(Line line) const { return map_.find(line); }
   LineEntry* find(Line line) { return map_.find(line); }
-  /// Handle of a tracked line, or kNoEntry.
-  DirHandle find_handle(Line line) const { return map_.find_handle(line); }
-  /// Entry behind a live handle (no liveness check: callers hold handles
-  /// only while the line is tracked).
-  LineEntry& at(DirHandle h) { return map_.at(h); }
-  /// Host prefetch hint for the entry behind `h` (kNoEntry: none); changes
-  /// no state.
-  void prefetch(DirHandle h) const {
-    if (h != kNoEntry) __builtin_prefetch(&map_.at(h), 1);
-  }
-  /// Entry behind an untrusted handle, nullptr when it names no live entry
-  /// (validators compare the result with find(line)).
-  const LineEntry* resolve(DirHandle h) const { return map_.resolve(h); }
   /// Drops `line`'s entry, which the caller has emptied (globally Invalid
   /// lines leave the table, keeping it compact).
   void drop(Line line) {
@@ -175,7 +153,6 @@ class Directory {
   LinePages<LineEntry> map_;
   Line last_line_ = ~0ull;
   LineEntry* last_entry_ = nullptr;
-  DirHandle last_handle_ = kNoEntry;
   const ProtocolRules* rules_ = &rules_of(Protocol::kMesif);
 };
 

@@ -86,8 +86,8 @@ void MachineConfig::validate() const {
                                           "threads_per_core must be positive");
   CAPMEM_CHECK_MSG(cores() <= 64,
                    "machine '" << name << "': " << cores()
-                               << " cores exceed the 64-bit l1_mask "
-                                  "coherence bitmap; the masks cap "
+                               << " cores exceed the 64-bit L1 presence "
+                                  "mask of a snapshot; it caps "
                                   "active_tiles*cores_per_tile at 64");
   CAPMEM_CHECK_MSG(
       l1_bytes % (kLineBytes * static_cast<std::uint64_t>(l1_ways)) == 0,
@@ -213,7 +213,7 @@ MachineConfig wide_64t(ClusterMode cluster, MemoryMode memory) {
   cfg.mesh_cols = 17;
   cfg.physical_tiles = 66;
   cfg.active_tiles = 64;
-  cfg.cores_per_tile = 1;  // 64 cores: at the l1_mask limit
+  cfg.cores_per_tile = 1;  // 64 cores: at the L1 presence-mask limit
   cfg.threads_per_core = 2;
   cfg.stop_placement = StopPlacement::kSpread;
   cfg.dram_bytes = GiB(64);

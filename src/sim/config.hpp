@@ -50,7 +50,8 @@ enum class MemKind { kDDR, kMCDRAM };
 ///    corner layout to make sense.
 enum class StopPlacement { kEdges, kSpread };
 
-/// Coherence masks (LineEntry::l2_mask / l1_mask) are single 64-bit words,
+/// The directory's sharer mask (LineEntry::l2_mask) and a snapshot's L1
+/// presence mask (state::DirEntryState::l1_mask) are single 64-bit words,
 /// capping both active tiles and cores at 64. MachineConfig::validate
 /// rejects shapes beyond it; coherence.hpp static_asserts the mask width.
 inline constexpr int kMaxCoherenceTiles = 64;

@@ -82,7 +82,10 @@ class LinePages {
     const std::uint64_t bit = std::uint64_t{1} << offset(key);
     if ((p.live & bit) != 0) return {h, false};
     p.live |= bit;
-    p.values[offset(key)] = Value{};
+    // Reset in place: assigning a temporary of an over-aligned Value would
+    // realign the stack on every insert.
+    std::destroy_at(&p.values[offset(key)]);
+    std::construct_at(&p.values[offset(key)]);
     ++size_;
     return {h, true};
   }

@@ -238,31 +238,25 @@ Nanos MemSystem::core_issue(int core, Nanos now, Nanos occupancy) {
   return start + occupancy;
 }
 
-static_assert(SetAssocCache::kNoHandle == Directory::kNoEntry);
-
-void MemSystem::l1_insert(int core, Line line, LineEntry& e, DirHandle h) {
+void MemSystem::l1_insert(int core, Line line) {
+  // The evicted L1 line stays in its tile's L2 and needs no directory
+  // update: the directory does not record L1 residency.
   SetAssocCache& l1 = l1_[static_cast<std::size_t>(core)];
-  if (l1.contains(line)) return;
-  DirHandle victim = Directory::kNoEntry;
-  const auto evicted = l1.insert(line, h, victim);
-  e.l1_mask |= 1ull << core;
-  // An L1-resident line always has a live entry with this core's bit set
-  // (every path that clears the bit also erases the L1 tag), so the victim's
-  // handle is live: clear its bit without a directory probe.
-  if (evicted) dir_.at(victim).l1_mask &= ~(1ull << core);
+  if (!l1.contains(line)) l1.insert(line);
+}
+
+void MemSystem::drop_l1_copies(int tile, Line line, int keep_core) {
+  const int first = topo_->first_core_of_tile(tile);
+  for (int c = first; c < first + cfg_->cores_per_tile; ++c) {
+    if (c != keep_core) l1_[static_cast<std::size_t>(c)].erase(line);
+  }
 }
 
 void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
   LineEntry* ve = dir_.find(victim);
   if (ve == nullptr) return;
   // Drop the victim from the L1s of this tile's cores (inclusive hierarchy).
-  for (int c = topo_->first_core_of_tile(tile);
-       c < topo_->first_core_of_tile(tile) + cfg_->cores_per_tile; ++c) {
-    if ((ve->l1_mask >> c) & 1ull) {
-      l1_[static_cast<std::size_t>(c)].erase(victim);
-      ve->l1_mask &= ~(1ull << c);
-    }
-  }
+  drop_l1_copies(tile, victim, -1);
   ve->l2_mask &= ~(1ull << tile);
   if (ve->forward == tile) ve->forward = -1;
   if (ve->owner == tile) {
@@ -271,9 +265,8 @@ void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
       // memory-side MCDRAM cache (it is inclusive of modified L2 lines).
       if (mc_cache_.enabled()) {
         mc_cache_.write_back(victim);
-        mcdram_.transfer(static_cast<int>(victim) %
-                             mcdram_.size(),
-                         now, static_cast<double>(kLineBytes));
+        mcdram_.transfer(mc_channel(victim), now,
+                         static_cast<double>(kLineBytes));
       } else {
         dram_.transfer(static_cast<int>(victim % static_cast<Line>(
                                             dram_.size())),
@@ -292,14 +285,13 @@ void MemSystem::evict_l2_victim(int tile, Line victim, Nanos now) {
   }
 }
 
-void MemSystem::fill_caches(int core, int tile, Line line, LineEntry& e,
-                            DirHandle h) {
+void MemSystem::fill_caches(int core, int tile, Line line, LineEntry& e) {
   if (!l2_[static_cast<std::size_t>(tile)].contains(line)) {
     const auto evicted = l2_[static_cast<std::size_t>(tile)].insert(line);
     e.l2_mask |= 1ull << tile;
     if (evicted) evict_l2_victim(tile, *evicted, 0.0);
   }
-  l1_insert(core, line, e, h);
+  l1_insert(core, line);
 }
 
 void MemSystem::invalidate_others(LineEntry& e, Line line, int keep_tile,
@@ -324,13 +316,7 @@ void MemSystem::invalidate_others(LineEntry& e, Line line, int keep_tile,
       l2_[static_cast<std::size_t>(t)].erase(line);
     }
     e.l2_mask &= ~(1ull << t);
-    for (int c = topo_->first_core_of_tile(t);
-         c < topo_->first_core_of_tile(t) + cfg_->cores_per_tile; ++c) {
-      if ((e.l1_mask >> c) & 1ull) {
-        l1_[static_cast<std::size_t>(c)].erase(line);
-        e.l1_mask &= ~(1ull << c);
-      }
-    }
+    drop_l1_copies(t, line, -1);
     counters_[static_cast<std::size_t>(tid)].invalidations++;
   }
   // L1 copies in the keep tile held by *other* cores are invalidated by the
@@ -394,8 +380,8 @@ AccessResult MemSystem::memory_access(int tid, int core, Line line,
       const double mc_traffic =
           static_cast<double>(kLineBytes) * (rfo ? 2.0 : 1.0);
       channel_done =
-          mcdram_.transfer(static_cast<int>(line) % mcdram_.size(), now,
-                           mc_traffic, cfg_->bw.mc_cache_bw_factor);
+          mcdram_.transfer(mc_channel(line), now, mc_traffic,
+                           cfg_->bw.mc_cache_bw_factor);
       if (type == AccessType::kWrite) {
         // Dirtied cache lines are eventually written back to DDR; charge
         // that traffic now so write streams stay DDR-bound in cache mode
@@ -411,8 +397,7 @@ AccessResult MemSystem::memory_access(int tid, int core, Line line,
       // DDR supplies the data; the line is filled into MCDRAM
       // simultaneously (paper §II.C), consuming both channels.
       channel_done = dram_.transfer(target.channel, now, traffic);
-      mcdram_.transfer(static_cast<int>(line) % mcdram_.size(), now,
-                       static_cast<double>(kLineBytes),
+      mcdram_.transfer(mc_channel(line), now, static_cast<double>(kLineBytes),
                        cfg_->bw.mc_cache_bw_factor);
       ctr.mc_cache_misses++;
       if (mc.evicted) {
@@ -495,25 +480,12 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
   const int tile = topo_->tile_of_core(core);
   const auto& lt = cfg_->lat;
 
-  // Non-temporal stores bypass the hierarchy: invalidate any cached copies,
-  // push the line straight to memory (no RFO, no fill).
+  // Non-temporal stores bypass the hierarchy: invalidate every cached copy,
+  // the requester's own tile included (keep_tile -1 also clears owner and
+  // dirty), and push the line straight to memory (no RFO, no fill).
   if (opts.nt && type == AccessType::kWrite) {
     LineEntry& e = dir_.entry(line);
     invalidate_others(e, line, /*keep_tile=*/-1, tid, now);
-    // Also drop our own copy if present.
-    if (e.present_in_tile(tile)) {
-      l2_[static_cast<std::size_t>(tile)].erase(line);
-      e.l2_mask &= ~(1ull << tile);
-      for (int c = topo_->first_core_of_tile(tile);
-           c < topo_->first_core_of_tile(tile) + cfg_->cores_per_tile; ++c) {
-        if ((e.l1_mask >> c) & 1ull) {
-          l1_[static_cast<std::size_t>(c)].erase(line);
-          e.l1_mask &= ~(1ull << c);
-        }
-      }
-      e.owner = -1;
-      e.dirty = false;
-    }
     const MemTarget& target = target_of(e, line, place);
     AccessResult res;
     const double nt_traffic =
@@ -530,9 +502,8 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       // but the dirtied line is eventually written back to DDR — charge
       // both channels so NT write streams stay DDR-bound in cache mode.
       mc_cache_.access(line);
-      channel_done = mcdram_.transfer(static_cast<int>(line) %
-                                          mcdram_.size(),
-                                      now, static_cast<double>(kLineBytes),
+      channel_done = mcdram_.transfer(mc_channel(line), now,
+                                      static_cast<double>(kLineBytes),
                                       cfg_->bw.mc_cache_bw_factor);
       channel_done = std::max(
           channel_done,
@@ -556,14 +527,8 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
     return res;
   }
 
-  DirHandle eh;
-  LineEntry& e = dir_.entry(line, eh);
-  SetAssocCache& l1 = l1_[static_cast<std::size_t>(core)];
-  const bool l1_hit = l1.lookup(line);
-  // A miss usually ends in l1_insert, which clears the evicted line's bit
-  // in its (cold) directory entry: start that host miss now so it overlaps
-  // the L2 lookup, the directory service and memory_access.
-  if (!l1_hit) dir_.prefetch(l1.victim_handle(line));
+  LineEntry& e = dir_.entry(line);
+  const bool l1_hit = l1_[static_cast<std::size_t>(core)].lookup(line);
   const bool l2_hit = l2_[static_cast<std::size_t>(tile)].lookup(line);
   CAPMEM_DCHECK(!l1_hit || l2_hit);
 
@@ -601,7 +566,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
         // downgrade inside the tile (M -> shared within tile).
         res.finish = std::max(now + jitter(cost), core_issue(core, now, 1.0));
       }
-      l1_insert(core, line, e, eh);
+      l1_insert(core, line);
       check_entry_p<P>(e);
       if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
@@ -693,7 +658,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
           e.forward = tile;
         }
       }
-      fill_caches(core, tile, line, e, eh);
+      fill_caches(core, tile, line, e);
       check_entry_p<P>(e);
       if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
@@ -729,7 +694,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                                              target.home_tile, e.forward);
           }
           e.forward = tile;  // F migrates to the newest requester
-          fill_caches(core, tile, line, e, eh);
+          fill_caches(core, tile, line, e);
           check_entry_p<P>(e);
           if (obs_ != nullptr) obs_->on_transition(line, e, *this);
           return res;
@@ -740,7 +705,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       res = memory_access(tid, core, line, target, type, opts,
                           std::max(now, svc_start), tile);
       if constexpr (P::kHasForward) e.forward = tile;
-      fill_caches(core, tile, line, e, eh);
+      fill_caches(core, tile, line, e);
       check_entry_p<P>(e);
       if (obs_ != nullptr) obs_->on_transition(line, e, *this);
       return res;
@@ -754,7 +719,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
       e.owner = tile;
       e.dirty = false;
     }
-    fill_caches(core, tile, line, e, eh);
+    fill_caches(core, tile, line, e);
     check_entry_p<P>(e);
     if (obs_ != nullptr) obs_->on_transition(line, e, *this);
     return res;
@@ -772,13 +737,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
     res.level = l1_hit ? Level::kL1 : Level::kL2Tile;
     res.prior = e.dirty ? TileState::kM : TileState::kE;
     if (l1_hit) ctr.l1_hits++; else ctr.l2_tile_hits++;
-    for (int c = topo_->first_core_of_tile(tile);
-         c < topo_->first_core_of_tile(tile) + cfg_->cores_per_tile; ++c) {
-      if (c != core && ((e.l1_mask >> c) & 1ull)) {
-        l1_[static_cast<std::size_t>(c)].erase(line);
-        e.l1_mask &= ~(1ull << c);
-      }
-    }
+    drop_l1_copies(tile, line, core);
     Nanos cost;
     if (opts.streaming) {
       cost = stream_issue_cost(l1_hit ? Level::kL1 : Level::kL2Tile,
@@ -794,7 +753,7 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
                          now, "upgrade");
     }
     e.dirty = true;
-    l1_insert(core, line, e, eh);
+    l1_insert(core, line);
     if (!mutation::is(mutation::Kind::kSkipVersionBump)) e.version++;
     e.last_write_visible = res.finish;
     check_entry_p<P>(e);
@@ -887,15 +846,9 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
   e.owner = tile;
   e.dirty = true;
   e.forward = -1;
-  fill_caches(core, tile, line, e, eh);
+  fill_caches(core, tile, line, e);
   // Only this core's L1 may keep the copy after a write.
-  for (int c = topo_->first_core_of_tile(tile);
-       c < topo_->first_core_of_tile(tile) + cfg_->cores_per_tile; ++c) {
-    if (c != core && ((e.l1_mask >> c) & 1ull)) {
-      l1_[static_cast<std::size_t>(c)].erase(line);
-      e.l1_mask &= ~(1ull << c);
-    }
-  }
+  drop_l1_copies(tile, line, core);
   e.version++;
   e.last_write_visible = res.finish;
   check_entry_p<P>(e);
@@ -904,13 +857,15 @@ AccessResult MemSystem::access_impl_p(int tid, int core, Line line,
 }
 
 void MemSystem::flush_line(Line line, bool drop_mcdram_cache) {
-  // One find, then walk only the set sharer/presence bits, then drop the
-  // entry (a flushed line is globally Invalid).
+  // One find, then walk only the set sharer bits (dropping each sharer
+  // tile's L2 and L1 copies), then drop the entry (a flushed line is
+  // globally Invalid).
   if (const LineEntry* e = dir_.find(line)) {
-    for (std::uint64_t m = e->l2_mask; m != 0; m &= m - 1)
-      l2_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
-    for (std::uint64_t m = e->l1_mask; m != 0; m &= m - 1)
-      l1_[static_cast<std::size_t>(__builtin_ctzll(m))].erase(line);
+    for (std::uint64_t m = e->l2_mask; m != 0; m &= m - 1) {
+      const int t = __builtin_ctzll(m);
+      l2_[static_cast<std::size_t>(t)].erase(line);
+      drop_l1_copies(t, line, -1);
+    }
     dir_.drop(line);
     if (obs_ != nullptr) obs_->on_flush(line);
   }

@@ -171,6 +171,10 @@ class MemSystem {
   const MemTarget& target_of(LineEntry& e, Line line, const Placement& place);
   int mesh_legs(int req_tile, int home_tile, Coord far_stop) const;
   int mesh_legs_tiles(int req_tile, int home_tile, int owner_tile) const;
+  /// MCDRAM channel of `line`'s memory-side cache slot (cache/hybrid mode).
+  int mc_channel(Line line) const {
+    return static_cast<int>(line % static_cast<Line>(mcdram_.size()));
+  }
 
   Nanos remote_transfer_cost(TileState owner_state, int legs);
   /// Protocol dispatch: one switch on the construction-time protocol_, into
@@ -190,13 +194,17 @@ class MemSystem {
                              const AccessOpts& opts, Nanos now,
                              int req_tile);
 
-  // State maintenance.
-  // `h` is `e`'s directory handle; the L1 keeps it beside the tag.
-  void fill_caches(int core, int tile, Line line, LineEntry& e, DirHandle h);
+  // State maintenance. The L1 tag arrays are the only record of L1
+  // residency: the directory tracks L2 sharers, and a tile's L1 copies of a
+  // line are dropped by erasing it from each of its cores' L1s.
+  void fill_caches(int core, int tile, Line line, LineEntry& e);
   void evict_l2_victim(int tile, Line victim, Nanos now);
   void invalidate_others(LineEntry& e, Line line, int keep_tile, int tid,
                          Nanos now);
-  void l1_insert(int core, Line line, LineEntry& e, DirHandle h);
+  void l1_insert(int core, Line line);
+  /// Erases `line` from the L1 of every core of `tile` except `keep_core`
+  /// (-1: none kept). Erasing a non-resident line is a no-op.
+  void drop_l1_copies(int tile, Line line, int keep_core);
 
   // Fault-injection tap: additive penalty for a mesh path whose endpoint
   // tiles (`c` < 0 when the path has only two) include degraded ones.

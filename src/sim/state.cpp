@@ -52,7 +52,6 @@ std::vector<state::DirEntryState> Directory::export_state() const {
     state::DirEntryState d;
     d.line = line;
     d.l2_mask = e.l2_mask;
-    d.l1_mask = e.l1_mask;
     d.owner = e.owner;
     d.forward = e.forward;
     d.dirty = e.dirty ? 1 : 0;
@@ -81,7 +80,6 @@ void Directory::import_state(const std::vector<state::DirEntryState>& entries) {
                          << " forward=" << d.forward << " out of range");
     LineEntry& e = map_.get_or_create(d.line);
     e.l2_mask = d.l2_mask;
-    e.l1_mask = d.l1_mask;
     e.owner = static_cast<std::int8_t>(d.owner);
     e.forward = static_cast<std::int8_t>(d.forward);
     e.dirty = d.dirty != 0;
@@ -160,6 +158,17 @@ void AddressSpace::import_state(const state::SpaceState& s) {
 state::MemSysState MemSystem::export_state() const {
   state::MemSysState s;
   s.directory = dir_.export_state();
+  // The directory does not record L1 residency: derive each entry's L1
+  // presence mask from the L1 tag planes (entries are sorted by line).
+  for (std::size_t c = 0; c < l1_.size(); ++c) {
+    l1_[c].for_each_line([&](Line line) {
+      const auto it = std::lower_bound(
+          s.directory.begin(), s.directory.end(), line,
+          [](const state::DirEntryState& d, Line l) { return d.line < l; });
+      if (it != s.directory.end() && it->line == line)
+        it->l1_mask |= 1ull << c;
+    });
+  }
   s.mc_cache = mc_cache_.export_state();
   s.dram = dram_.export_state();
   s.mcdram = mcdram_.export_state();
@@ -203,31 +212,43 @@ void MemSystem::import_state(const state::MemSysState& s) {
   mcdram_.import_state(s.mcdram);
   for (std::size_t i = 0; i < l1_.size(); ++i) l1_[i].import_state(s.l1[i]);
   for (std::size_t i = 0; i < l2_.size(); ++i) l2_[i].import_state(s.l2[i]);
-  // Sharer/presence bits index the per-tile and per-core arrays directly
-  // (flush_line walks them), so none may name a tile or core this machine
-  // does not have.
+  // Sharer bits index the per-tile arrays directly (flush_line walks them),
+  // so none may name a tile this machine does not have.
   const int tiles = static_cast<int>(l2_.size());
-  const int cores = static_cast<int>(l1_.size());
   dir_.for_each([&](Line line, const LineEntry& e) {
-    CAPMEM_CHECK_MSG((tiles >= 64 || (e.l2_mask >> tiles) == 0) &&
-                         (cores >= 64 || (e.l1_mask >> cores) == 0),
+    CAPMEM_CHECK_MSG(tiles >= 64 || (e.l2_mask >> tiles) == 0,
                      "directory entry for line "
-                         << line << " names tiles/cores beyond this machine");
+                         << line << " names tiles beyond this machine");
   });
-  // The L1 handle planes are derived data: resolve every resident L1 line
-  // to its directory entry. An L1 copy the directory does not list for that
-  // core is an inconsistent snapshot; refuse it rather than keep a handle
-  // that names no live entry.
+  // The L1 tag planes are the only record of L1 residency, and the
+  // hierarchy is inclusive: every L1 line must be in its tile's L2 per the
+  // directory, or no later coherence action would ever drop it.
   for (std::size_t c = 0; c < l1_.size(); ++c) {
-    l1_[c].rebind_handles([&](Line line) {
-      const DirHandle h = dir_.find_handle(line);
-      CAPMEM_CHECK_MSG(
-          h != Directory::kNoEntry && ((dir_.at(h).l1_mask >> c) & 1ull),
-          "snapshot L1 of core " << c << " holds line " << line
-                                 << " but the directory does not list it "
-                                    "there");
-      return h;
+    const int tile = topo_->tile_of_core(static_cast<int>(c));
+    l1_[c].for_each_line([&](Line line) {
+      const LineEntry* e = dir_.find(line);
+      CAPMEM_CHECK_MSG(e != nullptr && e->present_in_tile(tile),
+                       "snapshot L1 of core "
+                           << c << " holds line " << line
+                           << " but the directory does not list it in tile "
+                           << tile);
     });
+  }
+  // Each stored L1 presence mask must match the imported tags exactly. By
+  // inclusion only the cores of sharer tiles can hold the line.
+  for (const state::DirEntryState& d : s.directory) {
+    std::uint64_t tags = 0;
+    for (std::uint64_t m = dir_.find(d.line)->l2_mask; m != 0; m &= m - 1) {
+      const int first = topo_->first_core_of_tile(__builtin_ctzll(m));
+      for (int c = first; c < first + cfg_->cores_per_tile; ++c) {
+        if (l1_[static_cast<std::size_t>(c)].contains(d.line))
+          tags |= 1ull << c;
+      }
+    }
+    CAPMEM_CHECK_MSG(d.l1_mask == tags,
+                     "snapshot L1 presence mask of line "
+                         << d.line << " (" << d.l1_mask
+                         << ") disagrees with the L1 tags (" << tags << ")");
   }
   for (std::size_t i = 0; i < core_ports_.size(); ++i) {
     core_ports_[i].import_state(s.core_ports[i]);

@@ -46,6 +46,8 @@ struct CacheState {
 struct DirEntryState {
   std::uint64_t line = 0;
   std::uint64_t l2_mask = 0;
+  /// Cores holding the line in L1. Derived from the L1 tag planes on export
+  /// and checked against them on import; the live directory has no copy.
   std::uint64_t l1_mask = 0;
   std::int32_t owner = -1;
   std::int32_t forward = -1;

@@ -63,54 +63,6 @@ TEST(Cache, CapacityProperty) {
   }
 }
 
-TEST(Cache, VictimHandleIsWhatTheNextInsertEvicts) {
-  SetAssocCache c(kLineBytes * 8, 2);  // 4 sets x 2 ways
-  // No handle plane yet (never filled through the handle-carrying insert).
-  EXPECT_EQ(c.victim_handle(0), SetAssocCache::kNoHandle);
-  std::uint32_t victim = 0;
-  EXPECT_EQ(c.insert(0, 100, victim), std::nullopt);
-  // Set 0 still has an empty way: a fill would evict nothing.
-  EXPECT_EQ(c.victim_handle(4), SetAssocCache::kNoHandle);
-  EXPECT_EQ(c.insert(4, 104, victim), std::nullopt);
-  // Other sets are still empty.
-  EXPECT_EQ(c.victim_handle(1), SetAssocCache::kNoHandle);
-  // Full set: the peek names the LRU way (line 0) and does not touch LRU
-  // order, however often it is asked.
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(c.victim_handle(8), 100u);
-  victim = 0;
-  auto evicted = c.insert(8, 108, victim);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 0u);
-  EXPECT_EQ(victim, 100u);
-  // Touching line 4 makes line 8 the LRU way.
-  EXPECT_TRUE(c.lookup(4));
-  const std::uint32_t peek = c.victim_handle(12);
-  EXPECT_EQ(peek, 108u);
-  evicted = c.insert(12, 112, victim);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 8u);
-  EXPECT_EQ(victim, peek);
-  // An erase reopens a way.
-  EXPECT_TRUE(c.erase(4));
-  EXPECT_EQ(c.victim_handle(16), SetAssocCache::kNoHandle);
-}
-
-TEST(Cache, VictimHandleMatchesInsertUnderRandomTraffic) {
-  SetAssocCache c(kLineBytes * 32, 4);  // 8 sets x 4 ways
-  std::uint64_t x = 12345;
-  std::uint32_t next = 0;
-  for (int i = 0; i < 5000; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const Line l = (x >> 33) % 97;
-    if (c.lookup(l)) continue;
-    const std::uint32_t peek = c.victim_handle(l);
-    std::uint32_t victim = SetAssocCache::kNoHandle;
-    const auto evicted = c.insert(l, next++, victim);
-    EXPECT_EQ(evicted.has_value(), peek != SetAssocCache::kNoHandle);
-    EXPECT_EQ(victim, peek);
-  }
-}
-
 class CacheSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CacheSweep, FullSetAlwaysEvictsExactlyOne) {

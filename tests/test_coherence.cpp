@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "sim/coherence.hpp"
+#include "sim/machine.hpp"
 
 namespace capmem::sim {
 namespace {
@@ -95,7 +96,6 @@ std::vector<std::uint8_t> export_bytes(const Directory& d) {
   for (const state::DirEntryState& e : d.export_state()) {
     put(e.line);
     put(e.l2_mask);
-    put(e.l1_mask);
     put(e.owner);
     put(e.forward);
     put(e.dirty);
@@ -120,7 +120,6 @@ TEST(Directory, ExportIsIndependentOfInsertOrder) {
   auto fill = [](Directory& d, Line line) {
     LineEntry& e = d.entry(line);
     e.l2_mask = 1ull << (line % 7);
-    e.l1_mask = 1ull << (line % 5);
     e.owner = static_cast<std::int8_t>(line % 7);
     e.dirty = (line & 1) != 0;
     e.service_available = static_cast<Nanos>(line) * 0.5;
@@ -142,17 +141,45 @@ TEST(Directory, ExportIsIndependentOfInsertOrder) {
       [](const auto& x, const auto& y) { return x.line < y.line; }));
 }
 
-TEST(Directory, ResolveMatchesFindForLiveHandlesOnly) {
-  Directory d;
-  DirHandle h;
-  LineEntry& e = d.entry(77, h);
-  EXPECT_EQ(d.resolve(h), &e);
-  EXPECT_EQ(d.find_handle(77), h);
-  EXPECT_EQ(&d.at(h), &e);
-  EXPECT_EQ(d.resolve(Directory::kNoEntry), nullptr);
-  d.drop(77);
-  EXPECT_EQ(d.resolve(h), nullptr);
-  EXPECT_EQ(d.find_handle(77), Directory::kNoEntry);
+// A non-temporal store invalidates every cached copy, the storing core's
+// own tile included: here tile 0 holds the line in M, in the L1s of both of
+// its cores, when core 0 NT-stores it.
+TEST(Coherence, NtStoreFromModifiedTileLeavesNoCopy) {
+  MachineConfig cfg = knl7210();
+  cfg.noise.enabled = false;
+  Machine m(cfg);
+  const Addr buf = m.alloc("b", kLineBytes, {}, true);
+  const Line line = line_of(buf);
+  m.add_thread({0, 0}, [&](Ctx& ctx) -> Task {
+    co_await ctx.write_u64(buf, 1);
+    co_await ctx.sync();
+    co_await ctx.sync();
+    const MemSystem& before = ctx.machine().memsys();
+    EXPECT_EQ(before.state_in_tile(line, 0), TileState::kM);
+    EXPECT_TRUE(before.line_in_l1(0, line));
+    EXPECT_TRUE(before.line_in_l1(1, line));
+    AccessOpts nt;
+    nt.nt = true;
+    co_await ctx.touch(buf, AccessType::kWrite, nt);
+  });
+  m.add_thread({1, 0}, [&](Ctx& ctx) -> Task {
+    co_await ctx.sync();
+    co_await ctx.read_u64(buf);
+    co_await ctx.sync();
+  });
+  m.run();
+  const MemSystem& mem = m.memsys();
+  for (int c = 0; c < cfg.cores(); ++c) EXPECT_FALSE(mem.line_in_l1(c, line));
+  for (int t = 0; t < cfg.active_tiles; ++t) {
+    EXPECT_FALSE(mem.line_in_l2(t, line)) << "tile " << t;
+    EXPECT_EQ(mem.state_in_tile(line, t), TileState::kI) << "tile " << t;
+  }
+  const LineEntry* e = mem.directory().find(line);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->l2_mask, 0u);
+  EXPECT_EQ(e->owner, -1);
+  EXPECT_FALSE(e->dirty);
+  EXPECT_EQ(e->forward, -1);
 }
 
 TEST(TileStateNames, AllDistinct) {

@@ -359,6 +359,47 @@ TEST(Machine, CacheModeSecondAccessHitsMcdramCache) {
   EXPECT_EQ(levels[1], Level::kMcdramCacheHit);
 }
 
+// A line index with bit 31 set is negative once truncated to int, and so is
+// its remainder by the channel count unless it divides evenly; every
+// MCDRAM-cache channel pick (miss fill, hit, dirty L2 write-back, NT store)
+// must reduce the full index instead. Dataless buffers cost nothing, so a
+// 130 GiB one reaches line 2^31 at 128 GiB.
+TEST(Machine, CacheModeChannelOfLinePastBit31) {
+  Machine m(quiet(knl7210(ClusterMode::kQuadrant, MemoryMode::kCache)));
+  const Addr buf = m.alloc("huge", GiB(130), {}, false);
+  const Line far = (Line{1} << 31) + 3;
+  ASSERT_LT(static_cast<int>(far) % m.memsys().mcdram_pool().size(), 0);
+  ASSERT_GE(far * kLineBytes, buf);
+  const Addr a = far * kLineBytes;
+  // Same-set lines of the tile's L2, enough to evict the dirty line.
+  const SetAssocCache& l2 = m.memsys().l2_cache(0);
+  const Addr set_stride = static_cast<Addr>(l2.sets()) * kLineBytes;
+  ASSERT_LE(a + set_stride * static_cast<Addr>(l2.ways() + 1),
+            buf + GiB(130));
+  std::vector<Level> levels;
+  m.add_thread({0, 0}, [&](Ctx& ctx) -> Task {
+    levels.push_back((co_await ctx.touch(a, AccessType::kRead)).level);
+    ctx.machine().flush_buffer(a, kLineBytes, /*drop_mcdram_cache=*/false);
+    levels.push_back((co_await ctx.touch(a, AccessType::kRead)).level);
+    co_await ctx.touch(a, AccessType::kWrite);  // M in tile 0's L2
+    for (int w = 1; w <= l2.ways(); ++w) {
+      co_await ctx.touch(a + set_stride * static_cast<Addr>(w),
+                         AccessType::kRead);
+    }
+    EXPECT_EQ(ctx.machine().memsys().state_in_tile(far, 0), TileState::kI)
+        << "the dirty line was not written back";
+    AccessOpts nt;
+    nt.nt = true;
+    levels.push_back((co_await ctx.touch(a, AccessType::kWrite, nt)).level);
+  });
+  m.run();
+  ASSERT_EQ(levels.size(), 3u);
+  EXPECT_EQ(levels[0], Level::kMcdramCacheMiss);
+  EXPECT_EQ(levels[1], Level::kMcdramCacheHit);
+  EXPECT_EQ(levels[2], Level::kMcdramCacheHit);
+  EXPECT_GE(m.memsys().counters(0).line_ops, 4u + l2.ways());
+}
+
 TEST(Machine, SmtThreadsShareCoreIssuePorts) {
   // 4 streaming threads on one core should be much slower than 4 threads on
   // 4 different cores (Fig. 9: compact needs 4x the threads).

@@ -313,11 +313,34 @@ TEST(SnapFork, MidRunStateRefusesDirectInstall) {
       << "coroutine frames cannot be deserialized; install must refuse";
 }
 
-/// The L1 directory handles are rebuilt on install. A state whose L1 holds a
-/// line the directory does not list for that core (a cleared l1_mask bit,
-/// or no entry at all) must be refused with a structured error, never
-/// leave a handle that names no live entry; so must presence bits beyond
-/// the machine's cores.
+/// The live directory records no L1 residency: a snapshot's per-line L1
+/// presence mask is derived from the L1 tag arrays, core by core.
+TEST(SnapFork, L1MaskIsDerivedFromTags) {
+  WorkloadRun run(small_spec(23, "tiny_8t", sim::Protocol::kMesif,
+                             sim::MemoryMode::kFlat),
+                  nullptr);
+  const sim::MemSystem& mem = run.machine().memsys();
+  const int cores = run.machine().config().cores();
+  int shared = 0;  // entries held in two or more L1s
+  for (std::uint64_t pause : {40, 80, 120, 160}) {
+    ASSERT_FALSE(run.run_until(pause)) << "run ended before step " << pause;
+    const sim::state::MachineState s = capture(run.machine());
+    for (const sim::state::DirEntryState& d : s.mem.directory) {
+      std::uint64_t scan = 0;
+      for (int c = 0; c < cores; ++c) {
+        if (mem.line_in_l1(c, d.line)) scan |= 1ull << c;
+      }
+      EXPECT_EQ(d.l1_mask, scan) << "line " << d.line << " at " << pause;
+      if ((scan & (scan - 1)) != 0) ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0) << "no line was ever in two L1s";
+}
+
+/// A state whose L1 holds a line the directory does not list for that core
+/// (a cleared l1_mask bit, no entry at all, or a cleared sharer bit of the
+/// core's tile) must be refused with a structured error; so must presence
+/// bits beyond the machine's cores.
 TEST(SnapFork, InconsistentL1ResidencyIsRefused) {
   const MachineConfig cfg = sim::machine_preset(
       "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
@@ -357,6 +380,19 @@ TEST(SnapFork, InconsistentL1ResidencyIsRefused) {
   sim::state::MachineState phantom_core = s;
   phantom_core.mem.directory[held].l1_mask |= 1ull << 63;
   EXPECT_THROW(fork(phantom_core, cfg, 0), CheckError);
+
+  // The hierarchy is inclusive: an L1 copy in a tile the directory does not
+  // list as a sharer is refused. The entry is otherwise a legal Invalid one
+  // whose stored mask agrees with the sharer set, so only inclusion trips.
+  sim::state::MachineState no_l2_bit = s;
+  sim::state::DirEntryState& d = no_l2_bit.mem.directory[held];
+  d.l2_mask &= ~(1ull << warm.memsys().tile_of_core(0));
+  ASSERT_EQ(d.l2_mask, 0u);
+  d.l1_mask = 0;
+  d.owner = -1;
+  d.forward = -1;
+  d.dirty = 0;
+  EXPECT_THROW(fork(no_l2_bit, cfg, 0), CheckError);
 }
 
 /// Forked experiments under the recovery layer: a trial that aborts after
