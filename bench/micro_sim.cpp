@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "check/workload.hpp"
 #include "common/rng.hpp"
 #include "sim/line_table.hpp"
 #include "sim/machine.hpp"
+#include "snap/snapshot.hpp"
 #include "sort/bitonic_net.hpp"
 
 using namespace capmem;
@@ -269,6 +271,42 @@ void BM_Sort16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Sort16);
+
+// Snapshot layer: a serve-sized simulate request (tiny_8t, 6 threads x 40
+// ops) paused mid-run. Its ~2.2 MB payload is mostly the empty ways of the
+// L1/L2 tag and stamp planes, i.e. zeros.
+check::WorkloadSpec snap_spec() {
+  check::WorkloadSpec spec;
+  spec.threads = 6;
+  spec.ops_per_thread = 40;
+  spec.seed = 1;
+  spec.machine = "tiny_8t";
+  return spec;
+}
+
+void BM_SnapDigest(benchmark::State& state) {
+  check::WorkloadRun run(snap_spec(), nullptr);
+  run.run_until(400);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snap::digest(snap::capture(run.machine())));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapDigest)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapDecode(benchmark::State& state) {
+  check::WorkloadRun run(snap_spec(), nullptr);
+  run.run_until(400);
+  const MachineConfig& cfg = run.machine().config();
+  const std::vector<std::uint8_t> bytes =
+      snap::encode(snap::capture(run.machine()), cfg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snap::decode(bytes, cfg));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_SnapDecode)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -59,14 +59,6 @@ const char* to_string(FileFormatError::Kind k) {
   return "?";
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t seed) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  const auto* b = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * kPrime;
-  return h;
-}
-
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t n) {
   // Temp file in the target's directory so the rename cannot cross a

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 
 namespace capmem::common {
 
@@ -47,10 +48,6 @@ class FileFormatError : public CheckError {
 };
 
 const char* to_string(FileFormatError::Kind k);
-
-/// FNV-1a 64-bit over `n` bytes — the shared content/checksum hash.
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t seed = 0xcbf29ce484222325ull);
 
 /// Writes `data` to `path` atomically: a uniquely named temp file in the
 /// same directory, fsync, then rename over the target. Throws CheckError

@@ -24,19 +24,28 @@ void ensure_dir(const std::string& path) {
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   ensure_dir(dir_);
-  for (int i = 0; i < 16; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof(name), "shard-%x", i);
-    ensure_dir(dir_ + "/" + name);
-  }
-  ensure_dir(dir_ + "/quarantine");
 }
 
-std::string ResultCache::entry_path(std::uint64_t key) const {
+std::string ResultCache::shard_dir(std::uint64_t key) const {
   char shard[16];
   std::snprintf(shard, sizeof(shard), "shard-%x",
                 static_cast<unsigned>(key >> 60));
-  return dir_ + "/" + shard + "/" + key_hex(key) + ".res";
+  return dir_ + "/" + shard;
+}
+
+std::string ResultCache::entry_path(std::uint64_t key) const {
+  return shard_dir(key) + "/" + key_hex(key) + ".res";
+}
+
+void ResultCache::write_entry(std::uint64_t key,
+                              const std::vector<std::uint8_t>& sealed) {
+  const unsigned shard = static_cast<unsigned>(key >> 60);
+  if ((made_shards_ & (1u << shard)) == 0) {
+    ensure_dir(shard_dir(key));
+    made_shards_ |= 1u << shard;
+  }
+  common::atomic_write_file(entry_path(key), sealed);
+  ++stats_.stores;
 }
 
 std::string ResultCache::quarantine_path(std::uint64_t key) const {
@@ -74,8 +83,7 @@ void ResultCache::store(std::uint64_t key, const std::string& result) {
   const std::vector<std::uint8_t> sealed =
       common::seal(kServeFormatVersion, payload);
   std::lock_guard<std::mutex> lock(mu_);
-  common::atomic_write_file(entry_path(key), sealed);
-  ++stats_.stores;
+  write_entry(key, sealed);
 }
 
 void ResultCache::store_truncated(std::uint64_t key,
@@ -86,8 +94,7 @@ void ResultCache::store_truncated(std::uint64_t key,
       common::seal(kServeFormatVersion, payload);
   if (keep_bytes < sealed.size()) sealed.resize(keep_bytes);
   std::lock_guard<std::mutex> lock(mu_);
-  common::atomic_write_file(entry_path(key), sealed);
-  ++stats_.stores;
+  write_entry(key, sealed);
 }
 
 CacheStats ResultCache::stats() const {
@@ -97,6 +104,7 @@ CacheStats ResultCache::stats() const {
 
 void ResultCache::quarantine(std::uint64_t key, const std::string& path,
                              const std::string& why) {
+  ensure_dir(dir_ + "/quarantine");
   const std::string bad = quarantine_path(key);
   // rename(2): atomic move-aside; the entry slot is free for the rewrite.
   if (std::rename(path.c_str(), bad.c_str()) != 0) {

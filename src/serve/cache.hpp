@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace capmem::serve {
 
@@ -36,8 +37,11 @@ struct CacheStats {
 
 class ResultCache {
  public:
-  /// Opens (creating shard/quarantine directories as needed) a cache
-  /// rooted at `dir`. Throws CheckError when the root cannot be created.
+  /// Opens a cache rooted at `dir`. Throws CheckError when the root cannot
+  /// be created. A shard or quarantine directory is created by the first
+  /// write into it, so opening costs one mkdir, not eighteen: directory
+  /// creation stalls behind a busy filesystem journal (fsync'd entry writes
+  /// and deletions), and a server opens its cache on every start.
   explicit ResultCache(std::string dir);
 
   /// Looks up `key`. On a valid hit, fills `*result` with the stored
@@ -66,10 +70,15 @@ class ResultCache {
  private:
   void quarantine(std::uint64_t key, const std::string& path,
                   const std::string& why);
+  std::string shard_dir(std::uint64_t key) const;
+  /// Writes sealed entry bytes, creating the shard directory first if this
+  /// cache has not yet. Caller holds mu_.
+  void write_entry(std::uint64_t key, const std::vector<std::uint8_t>& sealed);
 
   std::string dir_;
   mutable std::mutex mu_;
   CacheStats stats_;
+  std::uint32_t made_shards_ = 0;  ///< bit i: shard-i exists (under mu_)
 };
 
 }  // namespace capmem::serve

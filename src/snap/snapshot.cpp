@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
 #include "sim/machine.hpp"
@@ -14,33 +15,6 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'N', 'A', 'P', '1'};
 
-// FNV-1a 64-bit: the snapshot checksum and all identity hashes. Not
-// cryptographic — it guards against truncation, bit rot and accidental
-// cross-config loads, which is the threat model of a local cache file.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-class Fnv {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ = (h_ ^ b[i]) * kFnvPrime;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
-
 [[noreturn]] void fail(SnapError::Kind kind, const std::string& msg) {
   std::ostringstream os;
   os << "snapshot " << to_string(kind) << ": " << msg;
@@ -49,28 +23,37 @@ class Fnv {
 
 // --------------------------------------------------------- byte streams
 
+// Both sinks of the payload encoders share this surface: Writer appends
+// the little-endian bytes, common::Fnv1a hashes exactly those bytes.
 class Writer {
  public:
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u64(s.size());
-    for (char c : s) out_.push_back(static_cast<std::uint8_t>(c));
+    raw(s.data(), s.size());
   }
-  void raw(const std::uint8_t* p, std::size_t n) {
-    out_.insert(out_.end(), p, p + n);
+  void raw(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    out_.insert(out_.end(), b, b + n);
   }
+  /// Overwrites the u64 written at byte offset `at` (a length placeholder).
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out_[at + i] = (v >> (8 * i)) & 0xff;
+  }
+  std::size_t size() const { return out_.size(); }
   std::vector<std::uint8_t>& buf() { return out_; }
 
  private:
+  void le(std::uint64_t v, int n) {
+    std::uint8_t b[8];
+    for (int i = 0; i < n; ++i) b[i] = (v >> (8 * i)) & 0xff;
+    out_.insert(out_.end(), b, b + n);
+  }
   std::vector<std::uint8_t> out_;
 };
 
@@ -137,7 +120,8 @@ class Reader {
 
 using namespace capmem::sim::state;
 
-void put(Writer& w, const CacheState& c) {
+template <class Sink>
+void put(Sink& w, const CacheState& c) {
   w.u64(c.clock);
   w.u64(c.resident);
   w.u64(c.lines.size());
@@ -157,7 +141,8 @@ CacheState get_cache(Reader& r) {
   return c;
 }
 
-void put(Writer& w, const ReservationState& v) {
+template <class Sink>
+void put(Sink& w, const ReservationState& v) {
   w.f64(v.available);
   w.f64(v.busy);
 }
@@ -169,7 +154,8 @@ ReservationState get_res(Reader& r) {
   return v;
 }
 
-void put(Writer& w, const PoolState& p) {
+template <class Sink>
+void put(Sink& w, const PoolState& p) {
   w.u64(p.channels.size());
   for (const ReservationState& c : p.channels) put(w, c);
   w.u64(p.degraded_transfers);
@@ -187,7 +173,8 @@ PoolState get_pool(Reader& r) {
   return p;
 }
 
-void put(Writer& w, const EngineState& e) {
+template <class Sink>
+void put(Sink& w, const EngineState& e) {
   w.f64(e.global_time);
   w.u64(e.steps);
   w.u64(e.queue_seq);
@@ -247,7 +234,8 @@ EngineState get_engine(Reader& r) {
   return e;
 }
 
-void put(Writer& w, const MemSysState& m) {
+template <class Sink>
+void put(Sink& w, const MemSysState& m) {
   w.u64(m.directory.size());
   for (const DirEntryState& d : m.directory) {
     w.u64(d.line);
@@ -321,7 +309,8 @@ MemSysState get_mem(Reader& r) {
   return m;
 }
 
-void put(Writer& w, const SpaceState& s) {
+template <class Sink>
+void put(Sink& w, const SpaceState& s) {
   w.u64(s.next);
   w.u64(s.allocs.size());
   for (const AllocState& a : s.allocs) {
@@ -354,13 +343,12 @@ SpaceState get_space(Reader& r) {
   return s;
 }
 
-std::vector<std::uint8_t> encode_payload(const MachineState& s) {
-  Writer w;
+template <class Sink>
+void put(Sink& w, const MachineState& s) {
   w.u8(s.quiescent);
   put(w, s.engine);
   put(w, s.mem);
   put(w, s.space);
-  return std::move(w.buf());
 }
 
 MachineState decode_payload(const std::uint8_t* p, std::size_t n) {
@@ -394,28 +382,29 @@ const char* to_string(SnapError::Kind k) {
 }
 
 std::uint64_t config_hash(const sim::MachineConfig& cfg) {
-  Fnv h;
+  // i32 fields hash as their sign-extended u64 (i64), as they always have.
+  common::Fnv1a h;
   h.str(cfg.name);
-  h.i32(static_cast<std::int32_t>(cfg.cluster));
-  h.i32(static_cast<std::int32_t>(cfg.memory));
-  h.i32(static_cast<std::int32_t>(cfg.protocol));
-  h.i32(cfg.mesh_rows);
-  h.i32(cfg.mesh_cols);
-  h.i32(cfg.physical_tiles);
-  h.i32(cfg.active_tiles);
-  h.i32(cfg.cores_per_tile);
-  h.i32(cfg.threads_per_core);
-  h.i32(static_cast<std::int32_t>(cfg.stop_placement));
-  h.i32(cfg.opaque_directory ? 1 : 0);
+  h.i64(static_cast<std::int32_t>(cfg.cluster));
+  h.i64(static_cast<std::int32_t>(cfg.memory));
+  h.i64(static_cast<std::int32_t>(cfg.protocol));
+  h.i64(cfg.mesh_rows);
+  h.i64(cfg.mesh_cols);
+  h.i64(cfg.physical_tiles);
+  h.i64(cfg.active_tiles);
+  h.i64(cfg.cores_per_tile);
+  h.i64(cfg.threads_per_core);
+  h.i64(static_cast<std::int32_t>(cfg.stop_placement));
+  h.i64(cfg.opaque_directory ? 1 : 0);
   h.u64(cfg.l1_bytes);
-  h.i32(cfg.l1_ways);
+  h.i64(cfg.l1_ways);
   h.u64(cfg.l2_bytes);
-  h.i32(cfg.l2_ways);
+  h.i64(cfg.l2_ways);
   h.u64(cfg.dram_bytes);
   h.u64(cfg.mcdram_bytes);
-  h.i32(cfg.dram_controllers);
-  h.i32(cfg.dram_channels_per_controller);
-  h.i32(cfg.mcdram_controllers);
+  h.i64(cfg.dram_controllers);
+  h.i64(cfg.dram_channels_per_controller);
+  h.i64(cfg.mcdram_controllers);
   h.f64(cfg.hybrid_cache_fraction);
   const sim::LatencyParams& L = cfg.lat;
   for (double v : {L.l1_hit, L.l2_tile_m, L.l2_tile_e, L.l2_tile_sf,
@@ -439,7 +428,7 @@ std::uint64_t config_hash(const sim::MachineConfig& cfg) {
   h.f64(cfg.noise.snc2_extra_sigma);
   h.f64(cfg.noise.spike_prob);
   h.f64(cfg.noise.spike_ns);
-  h.i32(cfg.noise.enabled ? 1 : 0);
+  h.i64(cfg.noise.enabled ? 1 : 0);
   h.f64(cfg.tsc_skew_ns);
   h.f64(cfg.tsc_resolution_ns);
   h.u64(cfg.seed);
@@ -448,11 +437,11 @@ std::uint64_t config_hash(const sim::MachineConfig& cfg) {
   if (cfg.fault != nullptr && cfg.fault->enabled()) {
     const fault::FaultPlan& f = *cfg.fault;
     h.u64(f.seed);
-    h.i32(f.extra_disabled_tiles);
-    h.i32(f.degraded_tiles);
+    h.i64(f.extra_disabled_tiles);
+    h.i64(f.degraded_tiles);
     h.f64(f.link_retry_ns);
-    h.i32(f.flaky_dram_channels);
-    h.i32(f.flaky_mcdram_channels);
+    h.i64(f.flaky_dram_channels);
+    h.i64(f.flaky_mcdram_channels);
     h.f64(f.channel_rate_factor);
     h.f64(f.stuck_line_fraction);
     h.f64(f.stuck_retry_ns);
@@ -461,7 +450,7 @@ std::uint64_t config_hash(const sim::MachineConfig& cfg) {
 }
 
 std::uint64_t schema_hash() {
-  Fnv h;
+  common::Fnv1a h;
   h.str("capmem.snap.machine_state.v1");
   // Struct shapes: any resize of the serialized records perturbs this.
   h.u64(sizeof(sim::state::MachineState));
@@ -476,18 +465,18 @@ std::uint64_t schema_hash() {
 std::vector<std::uint8_t> encode(const sim::state::MachineState& s,
                                  const sim::MachineConfig& cfg) {
   Writer w;
-  w.raw(reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic));
+  w.raw(kMagic, sizeof(kMagic));
   w.u32(kFormatVersion);
   w.u64(config_hash(cfg));
   w.u64(schema_hash());
   w.u64(s.engine.steps);
   w.f64(s.engine.global_time);
-  const std::vector<std::uint8_t> payload = encode_payload(s);
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-  Fnv sum;
-  sum.bytes(w.buf().data(), w.buf().size());
-  w.u64(sum.value());
+  // Length placeholder, the payload encoded in place, then the length.
+  const std::size_t len_at = w.size();
+  w.u64(0);
+  put(w, s);
+  w.patch_u64(len_at, w.size() - len_at - 8);
+  w.u64(common::fnv1a(w.buf().data(), w.size()));
   return std::move(w.buf());
 }
 
@@ -533,11 +522,9 @@ sim::state::MachineState decode(const std::vector<std::uint8_t>& bytes,
          std::to_string(bytes.size() - kHeaderBytes - info.payload_bytes - 8) +
              " trailing bytes after the checksum");
   }
-  Fnv sum;
-  sum.bytes(bytes.data(), bytes.size() - 8);
   Reader tail(bytes.data() + bytes.size() - 8, 8);
   const std::uint64_t want = tail.u64();
-  if (sum.value() != want) {
+  if (common::fnv1a(bytes.data(), bytes.size() - 8) != want) {
     fail(SnapError::Kind::kCorrupt,
          "checksum mismatch (stored vs computed) — the snapshot bytes were "
          "modified after capture");
@@ -568,20 +555,18 @@ sim::state::MachineState decode(const std::vector<std::uint8_t>& bytes,
 }
 
 std::uint64_t digest(const sim::state::MachineState& s) {
-  const std::vector<std::uint8_t> payload = encode_payload(s);
-  Fnv h;
-  h.bytes(payload.data(), payload.size());
+  // The payload's FNV-1a, streamed through the encoder: no payload buffer.
+  common::Fnv1a h;
+  put(h, s);
   return h.value();
 }
 
 std::string snapshot_id(const std::vector<std::uint8_t>& bytes) {
-  Fnv h;
-  h.bytes(bytes.data(), bytes.size());
   std::ostringstream os;
   os << "snap-" << std::hex;
   os.width(16);
   os.fill('0');
-  os << h.value();
+  os << common::fnv1a(bytes.data(), bytes.size());
   return os.str();
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/differ.hpp"
+#include "common/fnv.hpp"
 #include "exec/forked.hpp"
 #include "sim/machine.hpp"
 #include "snap/snapshot.hpp"
@@ -42,6 +43,14 @@ WorkloadSpec small_spec(std::uint64_t seed, const std::string& machine,
   return spec;
 }
 
+/// FNV-1a of the payload slice of a snapshot: the bytes between the header
+/// and the trailing checksum.
+std::uint64_t payload_hash(const std::vector<std::uint8_t>& bytes) {
+  const SnapInfo info = peek(bytes);
+  const std::size_t header = bytes.size() - info.payload_bytes - 8;
+  return common::fnv1a(bytes.data() + header, info.payload_bytes);
+}
+
 TEST(SnapRoundTrip, ByteStableAcrossPresetsProtocolsAndModes) {
   for (const char* machine : {"tiny_8t", "mini_16t", "tall_24t"}) {
     for (sim::Protocol protocol :
@@ -53,18 +62,24 @@ TEST(SnapRoundTrip, ByteStableAcrossPresetsProtocolsAndModes) {
             small_spec(7 + static_cast<std::uint64_t>(memory), machine,
                        protocol, memory);
         WorkloadRun run(spec, nullptr);
-        run.run_until(300);  // mid-schedule for most specs; end is fine too
         const MachineConfig& cfg = run.machine().config();
-        const sim::state::MachineState s = capture(run.machine());
-        const std::vector<std::uint8_t> bytes = encode(s, cfg);
-        const sim::state::MachineState back = decode(bytes, cfg);
-        const std::vector<std::uint8_t> again = encode(back, cfg);
-        ASSERT_EQ(bytes, again)
-            << machine << "/" << sim::to_string(protocol) << "/"
-            << sim::to_string(memory)
-            << ": serialize -> deserialize -> serialize changed bytes";
-        EXPECT_EQ(digest(s), digest(back));
-        EXPECT_EQ(snapshot_id(bytes), snapshot_id(again));
+        // Mid-schedule for most specs (end is fine too), then quiescent.
+        for (std::uint64_t until : {300, 0}) {
+          run.run_until(until);
+          const sim::state::MachineState s = capture(run.machine());
+          const std::vector<std::uint8_t> bytes = encode(s, cfg);
+          const sim::state::MachineState back = decode(bytes, cfg);
+          const std::vector<std::uint8_t> again = encode(back, cfg);
+          ASSERT_EQ(bytes, again)
+              << machine << "/" << sim::to_string(protocol) << "/"
+              << sim::to_string(memory) << " quiescent=" << s.quiescent
+              << ": serialize -> deserialize -> serialize changed bytes";
+          // digest() streams the state through the encoder into the
+          // hasher and never builds the payload encode() writes.
+          EXPECT_EQ(digest(s), payload_hash(bytes));
+          EXPECT_EQ(digest(s), digest(back));
+          EXPECT_EQ(snapshot_id(bytes), snapshot_id(again));
+        }
       }
     }
   }
@@ -99,6 +114,43 @@ TEST(SnapRoundTrip, SnapshotIdIsStableAndWellFormed) {
   ASSERT_EQ(id.size(), 5u + 16u);
   EXPECT_EQ(id.substr(0, 5), "snap-");
   EXPECT_EQ(id.find_first_not_of("0123456789abcdef", 5), std::string::npos);
+}
+
+TEST(SnapDigest, ZeroTagWithLiveStampAndMostlyZeroData) {
+  sim::Machine m(sim::machine_preset("tiny_8t", sim::ClusterMode::kQuadrant,
+                                     sim::MemoryMode::kFlat));
+  // A data-carrying allocation whose bytes are mostly zero.
+  const sim::Addr buf = m.alloc("mostly_zero", 4 * 4096 + 64, {}, true);
+  m.space().store<std::uint64_t>(buf + 8, 0x00ff000000000100ull);
+  m.space().store<std::uint8_t>(buf + 4096 + 3, 0x7f);
+  m.space().store<std::uint8_t>(buf + 4 * 4096 + 63, 0x01);
+  sim::state::MachineState s = capture(m);
+  const MachineConfig& cfg = m.config();
+  EXPECT_EQ(digest(s), payload_hash(encode(s, cfg)));
+
+  // Line 0 resident: a zero tag kept alive by a non-zero LRU stamp. Its
+  // bytes differ from the empty way only in the stamp plane.
+  const std::uint64_t empty = digest(s);
+  sim::state::CacheState& l1 = s.mem.l1.front();
+  ASSERT_EQ(l1.lines.front(), 0u);
+  l1.stamps.front() = ++l1.clock;
+  ++l1.resident;
+  EXPECT_EQ(digest(s), payload_hash(encode(s, cfg)));
+  EXPECT_NE(digest(s), empty);
+}
+
+/// The hash values themselves, recorded before the digest was streamed:
+/// a change to the encoder, the hasher or the zero folding that moves any
+/// byte or any hash shows here, not only in downstream digests.
+TEST(SnapDigest, PinnedDigestAndSnapshotIdOfAFixedState) {
+  WorkloadRun run(small_spec(7, "tiny_8t", sim::Protocol::kMesif,
+                             sim::MemoryMode::kFlat),
+                  nullptr);
+  run.run_until(300);
+  const sim::state::MachineState s = capture(run.machine());
+  EXPECT_EQ(digest(s), 0xb59bae4267f57010ull);
+  EXPECT_EQ(snapshot_id(encode(s, run.machine().config())),
+            "snap-6ea3e8165ba53ece");
 }
 
 /// Every truncation of a valid snapshot must throw SnapError (structured,
@@ -136,9 +188,10 @@ TEST(SnapReject, EveryTruncationThrowsSnapError) {
   }
 }
 
-// Every decode of the multi-MB snapshot pays the full checksum pass, so the
-// flip sweep is sharded: shard k checks every kBitFlipShards-th position of
-// one fixed position list, and the shards together cover all of it.
+// Every decode re-hashes the whole multi-MB snapshot (cheap over its zero
+// runs, which the checksum folds, but still a pass per flip), so the flip
+// sweep is sharded: shard k checks every kBitFlipShards-th position of one
+// fixed position list, and the shards together cover all of it.
 constexpr int kBitFlipShards = 8;
 
 class SnapBitFlip : public ::testing::TestWithParam<int> {};
