@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -16,30 +17,6 @@ namespace {
 constexpr char kMagic[8] = {'C', 'A', 'P', 'F', 'I', 'L', 'E', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;  // magic, version, length
 constexpr std::size_t kChecksumBytes = 8;
-
-void put_u32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 [[noreturn]] void fail_errno(const std::string& what, const std::string& path) {
   std::ostringstream os;
@@ -111,13 +88,13 @@ void atomic_write_file(const std::string& path,
 
 std::vector<std::uint8_t> seal(std::uint32_t version,
                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  put_u32(&out, version);
-  put_u64(&out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(&out, fnv1a(out.data(), out.size()));
+  const std::size_t body = kHeaderBytes + payload.size();
+  std::vector<std::uint8_t> out(body + kChecksumBytes);
+  std::copy(kMagic, kMagic + sizeof(kMagic), out.begin());
+  store_le(out.data() + 8, version);
+  store_le<std::uint64_t>(out.data() + 12, payload.size());
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
+  store_le(out.data() + body, fnv1a(out.data(), body));
   return out;
 }
 
@@ -134,21 +111,23 @@ Unsealed unseal(const std::vector<std::uint8_t>& bytes,
     throw FileFormatError(Kind::kBadMagic,
                           "sealed file has wrong magic (not CAPFILE1)");
   }
-  const std::uint32_t version = get_u32(bytes.data() + 8);
-  const std::uint64_t payload_len = get_u64(bytes.data() + 12);
-  const std::size_t want = kHeaderBytes + payload_len + kChecksumBytes;
-  if (bytes.size() < want) {
+  const auto version = load_le<std::uint32_t>(bytes.data() + 8);
+  const auto payload_len = load_le<std::uint64_t>(bytes.data() + 12);
+  // Measured against the bytes past the header, so no length can wrap.
+  const std::size_t room = bytes.size() - kHeaderBytes - kChecksumBytes;
+  if (bytes.size() < kHeaderBytes + kChecksumBytes || payload_len > room) {
     throw FileFormatError(
         Kind::kTruncated,
         "sealed file truncated: " + std::to_string(bytes.size()) +
-            " byte(s), header promises " + std::to_string(want));
+            " byte(s), header promises a " + std::to_string(payload_len) +
+            "-byte payload");
   }
-  if (bytes.size() > want) {
+  if (payload_len < room) {
     throw FileFormatError(Kind::kCorrupt,
                           "sealed file has trailing bytes after checksum");
   }
   const std::size_t body = kHeaderBytes + payload_len;
-  const std::uint64_t stored = get_u64(bytes.data() + body);
+  const auto stored = load_le<std::uint64_t>(bytes.data() + body);
   const std::uint64_t computed = fnv1a(bytes.data(), body);
   if (stored != computed) {
     throw FileFormatError(

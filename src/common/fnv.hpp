@@ -15,13 +15,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 
-namespace capmem::common {
+#include "common/byte_order.hpp"
 
-static_assert(std::endian::native == std::endian::little,
-              "Fnv1a::raw hashes memory a word at a time, low byte first");
+namespace capmem::common {
 
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
@@ -46,11 +44,7 @@ class Fnv1a {
   void raw(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      std::uint64_t v = 0;
-      std::memcpy(&v, b + i, 8);  // b[i] is the low byte: little-endian
-      word(v, 8);
-    }
+    for (; i + 8 <= n; i += 8) word(load_le<std::uint64_t>(b + i), 8);
     for (; i < n; ++i) word(b[i], 1);
   }
 

@@ -26,6 +26,7 @@
 #include "sim/mcdram_cache.hpp"
 #include "sim/mem_map.hpp"
 #include "sim/resource.hpp"
+#include "sim/state.hpp"
 #include "sim/topology.hpp"
 
 namespace capmem::sim {
@@ -72,23 +73,6 @@ inline obs::attr::TimeCat attr_cat(Level level) {
   }
   return obs::attr::TimeCat::kUnattributed;
 }
-
-/// Per-thread event counters (exposed through Machine for tests and the
-/// efficiency analyses).
-/// The classification counters (l1_hits .. mc_cache_misses) partition
-/// line_ops: every access increments exactly one of them.
-struct ThreadCounters {
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l2_tile_hits = 0;
-  std::uint64_t remote_hits = 0;
-  std::uint64_t dram_lines = 0;
-  std::uint64_t mcdram_lines = 0;
-  std::uint64_t mc_cache_hits = 0;
-  std::uint64_t mc_cache_misses = 0;
-  std::uint64_t writebacks = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t line_ops = 0;
-};
 
 class MemSystem {
  public:

@@ -184,15 +184,7 @@ state::MemSysState MemSystem::export_state() const {
   for (const Reservation& r : l2_supply_) {
     s.l2_supply.push_back(r.export_state());
   }
-  s.counters.reserve(counters_.size());
-  for (const ThreadCounters& c : counters_) {
-    state::CountersState cs;
-    cs.v = {c.l1_hits,       c.l2_tile_hits,   c.remote_hits,
-            c.dram_lines,    c.mcdram_lines,   c.mc_cache_hits,
-            c.mc_cache_misses, c.writebacks,   c.invalidations,
-            c.line_ops};
-    s.counters.push_back(cs);
-  }
+  s.counters = counters_;
   s.fault_link_retries = fault_link_retries_;
   s.fault_stuck_hits = fault_stuck_hits_;
   return s;
@@ -256,22 +248,7 @@ void MemSystem::import_state(const state::MemSysState& s) {
   for (std::size_t i = 0; i < l2_supply_.size(); ++i) {
     l2_supply_[i].import_state(s.l2_supply[i]);
   }
-  counters_.clear();
-  counters_.reserve(s.counters.size());
-  for (const state::CountersState& cs : s.counters) {
-    ThreadCounters c;
-    c.l1_hits = cs.v[0];
-    c.l2_tile_hits = cs.v[1];
-    c.remote_hits = cs.v[2];
-    c.dram_lines = cs.v[3];
-    c.mcdram_lines = cs.v[4];
-    c.mc_cache_hits = cs.v[5];
-    c.mc_cache_misses = cs.v[6];
-    c.writebacks = cs.v[7];
-    c.invalidations = cs.v[8];
-    c.line_ops = cs.v[9];
-    counters_.push_back(c);
-  }
+  counters_ = s.counters;
   fault_link_retries_ = s.fault_link_retries;
   fault_stuck_hits_ = s.fault_stuck_hits;
 }

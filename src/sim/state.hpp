@@ -30,6 +30,23 @@
 
 namespace capmem::sim {
 
+/// Per-thread event counters (exposed through Machine for tests and the
+/// efficiency analyses, and captured as they are in MemSysState).
+/// The classification counters (l1_hits .. mc_cache_misses) partition
+/// line_ops: every access increments exactly one of them.
+struct ThreadCounters {
+  std::uint64_t l1_hits = 0;
+  std::uint64_t l2_tile_hits = 0;
+  std::uint64_t remote_hits = 0;
+  std::uint64_t dram_lines = 0;
+  std::uint64_t mcdram_lines = 0;
+  std::uint64_t mc_cache_hits = 0;
+  std::uint64_t mc_cache_misses = 0;
+  std::uint64_t writebacks = 0;
+  std::uint64_t invalidations = 0;
+  std::uint64_t line_ops = 0;
+};
+
 namespace state {
 
 /// One set-associative cache (an L1 or an L2): the two planes plus the LRU
@@ -80,11 +97,6 @@ struct McdramState {
   std::vector<std::array<std::uint64_t, 2>> tags;
 };
 
-/// Per-thread event counters (sim::ThreadCounters, flattened).
-struct CountersState {
-  std::array<std::uint64_t, 10> v{};
-};
-
 /// One run-queue entry in portable form: tasks are named by tid, pooled
 /// callbacks by pool index (both process-stable under deterministic
 /// replay), never by frame address.
@@ -130,7 +142,7 @@ struct MemSysState {
   std::vector<CacheState> l2;                 ///< per tile
   std::vector<ReservationState> core_ports;   ///< per core
   std::vector<ReservationState> l2_supply;    ///< per tile
-  std::vector<CountersState> counters;        ///< per tid
+  std::vector<ThreadCounters> counters;       ///< per tid
   std::uint64_t fault_link_retries = 0;
   std::uint64_t fault_stuck_hits = 0;
 };

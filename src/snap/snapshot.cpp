@@ -1,9 +1,13 @@
 #include "snap/snapshot.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
+#include "common/byte_order.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
@@ -23,16 +27,22 @@ constexpr char kMagic[8] = {'C', 'A', 'P', 'S', 'N', 'A', 'P', '1'};
 
 // --------------------------------------------------------- byte streams
 
-// Both sinks of the payload encoders share this surface: Writer appends
+/// The field types with a fixed wire width: their little-endian bytes.
+template <class T>
+concept Scalar = std::same_as<T, std::uint8_t> ||
+                 std::same_as<T, std::int32_t> ||
+                 std::same_as<T, std::uint64_t> ||
+                 std::same_as<T, std::int64_t> || std::same_as<T, double>;
+
+// Both sinks of the payload archive share this surface: Writer appends
 // the little-endian bytes, common::Fnv1a hashes exactly those bytes.
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(v); }
+  void f64(double v) { put(v); }
   void str(const std::string& s) {
     u64(s.size());
     raw(s.data(), s.size());
@@ -43,16 +53,17 @@ class Writer {
   }
   /// Overwrites the u64 written at byte offset `at` (a length placeholder).
   void patch_u64(std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_[at + i] = (v >> (8 * i)) & 0xff;
+    common::store_le(out_.data() + at, v);
   }
   std::size_t size() const { return out_.size(); }
   std::vector<std::uint8_t>& buf() { return out_; }
 
  private:
-  void le(std::uint64_t v, int n) {
-    std::uint8_t b[8];
-    for (int i = 0; i < n; ++i) b[i] = (v >> (8 * i)) & 0xff;
-    out_.insert(out_.end(), b, b + n);
+  template <class T>
+  void put(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof v);
+    common::store_le(out_.data() + at, v);
   }
   std::vector<std::uint8_t> out_;
 };
@@ -61,303 +72,191 @@ class Reader {
  public:
   Reader(const std::uint8_t* p, std::size_t n) : p_(p), n_(n) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return p_[pos_++];
+  template <class T>
+  T get() {
+    return common::load_le<T>(raw(1, sizeof(T)));
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p_[pos_++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p_[pos_++]} << (8 * i);
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
   std::string str() {
-    const std::uint64_t n = len(u64());
-    std::string s(reinterpret_cast<const char*>(p_ + pos_), n);
-    pos_ += n;
-    return s;
+    const std::uint64_t n = get<std::uint64_t>();
+    return std::string(reinterpret_cast<const char*>(raw(n, 1)), n);
   }
-  /// Validates a count field against the bytes actually remaining (each
-  /// element needs >= 1 byte), so a corrupt length cannot trigger a huge
-  /// allocation before the truncation is noticed.
-  std::uint64_t len(std::uint64_t n) {
-    need(n);
+  /// Validates a count of `n` elements of at least `elem` bytes each
+  /// against the bytes remaining, by division so that no count can wrap:
+  /// a corrupt count cannot trigger a huge allocation before the
+  /// truncation is noticed.
+  std::uint64_t len(std::uint64_t n, std::size_t elem = 1) {
+    if (n > (n_ - pos_) / elem) {
+      fail(SnapError::Kind::kTruncated,
+           "need " + std::to_string(n) + " x " + std::to_string(elem) +
+               " bytes at offset " + std::to_string(pos_) + " but only " +
+               std::to_string(n_ - pos_) + " remain");
+    }
     return n;
   }
-  const std::uint8_t* raw(std::uint64_t n) {
-    need(n);
+  /// The next `n` elements of `elem` bytes each, bounds-checked once.
+  const std::uint8_t* raw(std::uint64_t n, std::size_t elem) {
     const std::uint8_t* p = p_ + pos_;
-    pos_ += n;
+    pos_ += len(n, elem) * elem;
     return p;
   }
   std::size_t pos() const { return pos_; }
   bool done() const { return pos_ == n_; }
 
  private:
-  void need(std::uint64_t n) {
-    if (n > n_ - pos_) {
-      fail(SnapError::Kind::kTruncated,
-           "need " + std::to_string(n) + " bytes at offset " +
-               std::to_string(pos_) + " but only " +
-               std::to_string(n_ - pos_) + " remain");
-    }
-  }
   const std::uint8_t* p_;
   std::size_t n_;
   std::size_t pos_ = 0;
 };
 
-// ------------------------------------------------------ payload encoding
+// ------------------------------------------------------ the field lists
+
+// Each state struct's wire layout, written once: the payload is its fields
+// in this order, recursively. One list serves both constnesses, so the
+// encoder, the digest and the decoder cannot disagree. The wire width of
+// each field follows from its C++ type (see Out / In).
 
 using namespace capmem::sim::state;
+using sim::ThreadCounters;
 
+template <class S, class T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+template <Is<CacheState> S>
+auto fields(S& c) { return std::tie(c.clock, c.resident, c.lines, c.stamps); }
+template <Is<ReservationState> S>
+auto fields(S& r) { return std::tie(r.available, r.busy); }
+template <Is<PoolState> S>
+auto fields(S& p) {
+  return std::tie(p.channels, p.degraded_transfers, p.last_queue_ns,
+                  p.last_transfer_at);
+}
+template <Is<TaskState> S>
+auto fields(S& t) { return std::tie(t.clock, t.done); }
+template <Is<QueueEntryState> S>
+auto fields(S& q) { return std::tie(q.t, q.seq, q.is_callback, q.id); }
+template <Is<ParkedWaiterState> S>
+auto fields(S& p) { return std::tie(p.key, p.tid, p.parked_at); }
+template <Is<EngineState> S>
+auto fields(S& e) {
+  return std::tie(e.global_time, e.steps, e.queue_seq, e.live, e.rng,
+                  e.tasks, e.queue, e.parked, e.sync_q, e.live_callbacks);
+}
+template <Is<DirEntryState> S>
+auto fields(S& d) {
+  return std::tie(d.line, d.l2_mask, d.l1_mask, d.owner, d.forward, d.dirty,
+                  d.service_available, d.last_write_visible, d.version);
+}
+template <Is<McdramState> S>
+auto fields(S& m) { return std::tie(m.tags); }
+template <Is<ThreadCounters> S>
+auto fields(S& c) {
+  return std::tie(c.l1_hits, c.l2_tile_hits, c.remote_hits, c.dram_lines,
+                  c.mcdram_lines, c.mc_cache_hits, c.mc_cache_misses,
+                  c.writebacks, c.invalidations, c.line_ops);
+}
+template <Is<MemSysState> S>
+auto fields(S& m) {
+  return std::tie(m.directory, m.mc_cache, m.dram, m.mcdram, m.l1, m.l2,
+                  m.core_ports, m.l2_supply, m.counters, m.fault_link_retries,
+                  m.fault_stuck_hits);
+}
+template <Is<AllocState> S>
+auto fields(S& a) {
+  return std::tie(a.base, a.bytes, a.mem_kind, a.domain, a.has_data, a.name,
+                  a.data);
+}
+template <Is<SpaceState> S>
+auto fields(S& s) { return std::tie(s.next, s.allocs); }
+template <Is<MachineState> S>
+auto fields(S& s) { return std::tie(s.quiescent, s.engine, s.mem, s.space); }
+
+template <class T>
+concept Vector = std::same_as<T, std::vector<typename T::value_type>>;
+template <class T>
+concept Array = std::same_as<
+    T, std::array<typename T::value_type, std::tuple_size<T>::value>>;
+
+// ------------------------------------------------------------ archives
+
+// A field's C++ type fixes its wire form: a Scalar is its little-endian
+// bytes (u8, i32, u64, i64; f64 for Nanos); a string or vector is a u64
+// count then its elements, and a vector of Scalars travels as one raw
+// block of its (little-endian) memory; a std::array is its elements alone;
+// a struct is its field list.
+
+/// Encodes through a Writer or hashes through a common::Fnv1a.
 template <class Sink>
-void put(Sink& w, const CacheState& c) {
-  w.u64(c.clock);
-  w.u64(c.resident);
-  w.u64(c.lines.size());
-  for (std::uint64_t v : c.lines) w.u64(v);
-  w.u64(c.stamps.size());
-  for (std::uint64_t v : c.stamps) w.u64(v);
-}
+class Out {
+ public:
+  explicit Out(Sink& sink) : s_(sink) {}
 
-CacheState get_cache(Reader& r) {
-  CacheState c;
-  c.clock = r.u64();
-  c.resident = r.u64();
-  c.lines.resize(r.len(r.u64()));
-  for (auto& v : c.lines) v = r.u64();
-  c.stamps.resize(r.len(r.u64()));
-  for (auto& v : c.stamps) v = r.u64();
-  return c;
-}
+  template <class T>
+  void operator()(const T& v) {
+    if constexpr (std::same_as<T, double>) {
+      s_.f64(v);
+    } else if constexpr (Scalar<T> && sizeof(T) == 1) {
+      s_.u8(v);
+    } else if constexpr (Scalar<T> && sizeof(T) == 4) {
+      s_.i32(v);
+    } else if constexpr (Scalar<T>) {
+      s_.u64(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::same_as<T, std::string>) {
+      s_.str(v);
+    } else if constexpr (Vector<T>) {
+      s_.u64(v.size());
+      if constexpr (Scalar<typename T::value_type>) {
+        s_.raw(v.data(), v.size() * sizeof(typename T::value_type));
+      } else {
+        for (const auto& e : v) (*this)(e);
+      }
+    } else if constexpr (Array<T>) {
+      for (const auto& e : v) (*this)(e);
+    } else {
+      std::apply([this](const auto&... f) { ((*this)(f), ...); }, fields(v));
+    }
+  }
 
-template <class Sink>
-void put(Sink& w, const ReservationState& v) {
-  w.f64(v.available);
-  w.f64(v.busy);
-}
+ private:
+  Sink& s_;
+};
 
-ReservationState get_res(Reader& r) {
-  ReservationState v;
-  v.available = r.f64();
-  v.busy = r.f64();
-  return v;
-}
+/// Decodes through a Reader; every count is bounds-checked before use.
+class In {
+ public:
+  explicit In(Reader& r) : r_(r) {}
 
-template <class Sink>
-void put(Sink& w, const PoolState& p) {
-  w.u64(p.channels.size());
-  for (const ReservationState& c : p.channels) put(w, c);
-  w.u64(p.degraded_transfers);
-  w.f64(p.last_queue_ns);
-  w.f64(p.last_transfer_at);
-}
+  template <class T>
+  void operator()(T& v) {
+    if constexpr (Scalar<T>) {
+      v = r_.get<T>();
+    } else if constexpr (std::same_as<T, std::string>) {
+      v = r_.str();
+    } else if constexpr (Vector<T>) {
+      using E = typename T::value_type;
+      const auto n = r_.get<std::uint64_t>();
+      if constexpr (Scalar<E>) {
+        const std::uint8_t* p = r_.raw(n, sizeof(E));
+        v.resize(n);
+        if (n != 0) std::memcpy(v.data(), p, n * sizeof(E));
+      } else {
+        v.resize(r_.len(n));  // each element holds at least one byte
+        for (E& e : v) (*this)(e);
+      }
+    } else if constexpr (Array<T>) {
+      for (auto& e : v) (*this)(e);
+    } else {
+      std::apply([this](auto&... f) { ((*this)(f), ...); }, fields(v));
+    }
+  }
 
-PoolState get_pool(Reader& r) {
-  PoolState p;
-  p.channels.resize(r.len(r.u64()));
-  for (auto& c : p.channels) c = get_res(r);
-  p.degraded_transfers = r.u64();
-  p.last_queue_ns = r.f64();
-  p.last_transfer_at = r.f64();
-  return p;
-}
-
-template <class Sink>
-void put(Sink& w, const EngineState& e) {
-  w.f64(e.global_time);
-  w.u64(e.steps);
-  w.u64(e.queue_seq);
-  w.i32(e.live);
-  for (std::uint64_t word : e.rng) w.u64(word);
-  w.u64(e.tasks.size());
-  for (const TaskState& t : e.tasks) {
-    w.f64(t.clock);
-    w.u8(t.done);
-  }
-  w.u64(e.queue.size());
-  for (const QueueEntryState& q : e.queue) {
-    w.f64(q.t);
-    w.u64(q.seq);
-    w.u8(q.is_callback);
-    w.i64(q.id);
-  }
-  w.u64(e.parked.size());
-  for (const ParkedWaiterState& p : e.parked) {
-    w.u64(p.key);
-    w.i32(p.tid);
-    w.f64(p.parked_at);
-  }
-  w.u64(e.sync_q.size());
-  for (std::int32_t tid : e.sync_q) w.i32(tid);
-  w.u64(e.live_callbacks);
-}
-
-EngineState get_engine(Reader& r) {
-  EngineState e;
-  e.global_time = r.f64();
-  e.steps = r.u64();
-  e.queue_seq = r.u64();
-  e.live = r.i32();
-  for (auto& word : e.rng) word = r.u64();
-  e.tasks.resize(r.len(r.u64()));
-  for (auto& t : e.tasks) {
-    t.clock = r.f64();
-    t.done = r.u8();
-  }
-  e.queue.resize(r.len(r.u64()));
-  for (auto& q : e.queue) {
-    q.t = r.f64();
-    q.seq = r.u64();
-    q.is_callback = r.u8();
-    q.id = r.i64();
-  }
-  e.parked.resize(r.len(r.u64()));
-  for (auto& p : e.parked) {
-    p.key = r.u64();
-    p.tid = r.i32();
-    p.parked_at = r.f64();
-  }
-  e.sync_q.resize(r.len(r.u64()));
-  for (auto& tid : e.sync_q) tid = r.i32();
-  e.live_callbacks = r.u64();
-  return e;
-}
-
-template <class Sink>
-void put(Sink& w, const MemSysState& m) {
-  w.u64(m.directory.size());
-  for (const DirEntryState& d : m.directory) {
-    w.u64(d.line);
-    w.u64(d.l2_mask);
-    w.u64(d.l1_mask);
-    w.i32(d.owner);
-    w.i32(d.forward);
-    w.u8(d.dirty);
-    w.f64(d.service_available);
-    w.f64(d.last_write_visible);
-    w.u64(d.version);
-  }
-  w.u64(m.mc_cache.tags.size());
-  for (const auto& t : m.mc_cache.tags) {
-    w.u64(t[0]);
-    w.u64(t[1]);
-  }
-  put(w, m.dram);
-  put(w, m.mcdram);
-  w.u64(m.l1.size());
-  for (const CacheState& c : m.l1) put(w, c);
-  w.u64(m.l2.size());
-  for (const CacheState& c : m.l2) put(w, c);
-  w.u64(m.core_ports.size());
-  for (const ReservationState& v : m.core_ports) put(w, v);
-  w.u64(m.l2_supply.size());
-  for (const ReservationState& v : m.l2_supply) put(w, v);
-  w.u64(m.counters.size());
-  for (const CountersState& c : m.counters) {
-    for (std::uint64_t v : c.v) w.u64(v);
-  }
-  w.u64(m.fault_link_retries);
-  w.u64(m.fault_stuck_hits);
-}
-
-MemSysState get_mem(Reader& r) {
-  MemSysState m;
-  m.directory.resize(r.len(r.u64()));
-  for (auto& d : m.directory) {
-    d.line = r.u64();
-    d.l2_mask = r.u64();
-    d.l1_mask = r.u64();
-    d.owner = r.i32();
-    d.forward = r.i32();
-    d.dirty = r.u8();
-    d.service_available = r.f64();
-    d.last_write_visible = r.f64();
-    d.version = r.u64();
-  }
-  m.mc_cache.tags.resize(r.len(r.u64()));
-  for (auto& t : m.mc_cache.tags) {
-    t[0] = r.u64();
-    t[1] = r.u64();
-  }
-  m.dram = get_pool(r);
-  m.mcdram = get_pool(r);
-  m.l1.resize(r.len(r.u64()));
-  for (auto& c : m.l1) c = get_cache(r);
-  m.l2.resize(r.len(r.u64()));
-  for (auto& c : m.l2) c = get_cache(r);
-  m.core_ports.resize(r.len(r.u64()));
-  for (auto& v : m.core_ports) v = get_res(r);
-  m.l2_supply.resize(r.len(r.u64()));
-  for (auto& v : m.l2_supply) v = get_res(r);
-  m.counters.resize(r.len(r.u64()));
-  for (auto& c : m.counters) {
-    for (auto& v : c.v) v = r.u64();
-  }
-  m.fault_link_retries = r.u64();
-  m.fault_stuck_hits = r.u64();
-  return m;
-}
-
-template <class Sink>
-void put(Sink& w, const SpaceState& s) {
-  w.u64(s.next);
-  w.u64(s.allocs.size());
-  for (const AllocState& a : s.allocs) {
-    w.u64(a.base);
-    w.u64(a.bytes);
-    w.u8(a.mem_kind);
-    w.i32(a.domain);
-    w.u8(a.has_data);
-    w.str(a.name);
-    w.u64(a.data.size());
-    if (!a.data.empty()) w.raw(a.data.data(), a.data.size());
-  }
-}
-
-SpaceState get_space(Reader& r) {
-  SpaceState s;
-  s.next = r.u64();
-  s.allocs.resize(r.len(r.u64()));
-  for (auto& a : s.allocs) {
-    a.base = r.u64();
-    a.bytes = r.u64();
-    a.mem_kind = r.u8();
-    a.domain = r.i32();
-    a.has_data = r.u8();
-    a.name = r.str();
-    const std::uint64_t n = r.len(r.u64());
-    const std::uint8_t* p = r.raw(n);
-    a.data.assign(p, p + n);
-  }
-  return s;
-}
-
-template <class Sink>
-void put(Sink& w, const MachineState& s) {
-  w.u8(s.quiescent);
-  put(w, s.engine);
-  put(w, s.mem);
-  put(w, s.space);
-}
+ private:
+  Reader& r_;
+};
 
 MachineState decode_payload(const std::uint8_t* p, std::size_t n) {
   Reader r(p, n);
   MachineState s;
-  s.quiescent = r.u8();
-  s.engine = get_engine(r);
-  s.mem = get_mem(r);
-  s.space = get_space(r);
+  In{r}(s);
   if (!r.done()) {
     fail(SnapError::Kind::kCorrupt,
          "payload has " + std::to_string(n - r.pos()) +
@@ -474,7 +373,7 @@ std::vector<std::uint8_t> encode(const sim::state::MachineState& s,
   // Length placeholder, the payload encoded in place, then the length.
   const std::size_t len_at = w.size();
   w.u64(0);
-  put(w, s);
+  Out{w}(s);
   w.patch_u64(len_at, w.size() - len_at - 8);
   w.u64(common::fnv1a(w.buf().data(), w.size()));
   return std::move(w.buf());
@@ -492,12 +391,12 @@ SnapInfo peek(const std::vector<std::uint8_t>& bytes) {
   }
   Reader r(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic));
   SnapInfo info;
-  info.version = r.u32();
-  info.config = r.u64();
-  info.schema = r.u64();
-  info.steps = r.u64();
-  info.virt_ns = r.f64();
-  info.payload_bytes = r.u64();
+  info.version = r.get<std::uint32_t>();
+  info.config = r.get<std::uint64_t>();
+  info.schema = r.get<std::uint64_t>();
+  info.steps = r.get<std::uint64_t>();
+  info.virt_ns = r.get<double>();
+  info.payload_bytes = r.get<std::uint64_t>();
   if (info.version != kFormatVersion) {
     fail(SnapError::Kind::kVersionMismatch,
          "written as format v" + std::to_string(info.version) +
@@ -522,8 +421,8 @@ sim::state::MachineState decode(const std::vector<std::uint8_t>& bytes,
          std::to_string(bytes.size() - kHeaderBytes - info.payload_bytes - 8) +
              " trailing bytes after the checksum");
   }
-  Reader tail(bytes.data() + bytes.size() - 8, 8);
-  const std::uint64_t want = tail.u64();
+  const auto want =
+      common::load_le<std::uint64_t>(bytes.data() + bytes.size() - 8);
   if (common::fnv1a(bytes.data(), bytes.size() - 8) != want) {
     fail(SnapError::Kind::kCorrupt,
          "checksum mismatch (stored vs computed) — the snapshot bytes were "
@@ -557,7 +456,7 @@ sim::state::MachineState decode(const std::vector<std::uint8_t>& bytes,
 std::uint64_t digest(const sim::state::MachineState& s) {
   // The payload's FNV-1a, streamed through the encoder: no payload buffer.
   common::Fnv1a h;
-  put(h, s);
+  Out{h}(s);
   return h.value();
 }
 

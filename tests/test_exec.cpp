@@ -161,7 +161,9 @@ TEST(RunJobsRecover, SiblingJobsSurviveADeadlockedSimulation) {
     opts.retry.sleep = false;
     const BatchReport rep = run_jobs_recover(std::move(jobs), workers, opts);
     for (int i = 0; i < 6; ++i) {
-      if (i != 2) EXPECT_EQ(done[static_cast<std::size_t>(i)], 1) << i;
+      if (i != 2) {
+        EXPECT_EQ(done[static_cast<std::size_t>(i)], 1) << i;
+      }
     }
     EXPECT_EQ(rep.jobs, 6u);
     EXPECT_EQ(rep.ok, 5u);

@@ -113,6 +113,23 @@ TEST(AtomicFile, SealUnsealRoundTrip) {
   EXPECT_EQ(sealed, common::seal(7, payload));
 }
 
+/// The CAPFILE1 envelope byte for byte: "CAPFILE1", u32 version, u64
+/// payload length, payload, then the FNV-1a of everything before it, all
+/// little-endian. A change to the byte helpers or the hasher shows here.
+TEST(AtomicFile, SealedBytesArePinned) {
+  const std::vector<std::uint8_t> want = {
+      'C',  'A',  'P',  'F',  'I',  'L',  'E',  '1',   // magic
+      0x07, 0x00, 0x00, 0x00,                          // version 7
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length 3
+      0x01, 0x02, 0x03,                                // payload
+      0x48, 0x38, 0xca, 0x7c, 0xb4, 0x75, 0x6c, 0xe7,  // FNV-1a
+  };
+  EXPECT_EQ(common::seal(7, {1, 2, 3}), want);
+  const common::Unsealed u = common::unseal(want, 7);
+  EXPECT_EQ(u.version, 7u);
+  EXPECT_EQ(u.payload, (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
 TEST(AtomicFile, UnsealRejectsEveryMalformation) {
   const std::vector<std::uint8_t> payload = {10, 20, 30};
   const std::vector<std::uint8_t> sealed = common::seal(3, payload);
@@ -148,6 +165,11 @@ TEST(AtomicFile, UnsealRejectsEveryMalformation) {
   std::vector<std::uint8_t> len_flip = sealed;
   len_flip[14] ^= 0x01;
   EXPECT_EQ(kind_of(len_flip, 3), "truncated");
+  // A length whose header + payload + checksum sum would wrap is still a
+  // truncation, not a short read of the wrong bytes.
+  std::vector<std::uint8_t> huge = sealed;
+  for (std::size_t i = 12; i < 20; ++i) huge[i] = 0xff;
+  EXPECT_EQ(kind_of(huge, 3), "truncated");
   // Trailing bytes after the checksum.
   std::vector<std::uint8_t> trailing = sealed;
   trailing.push_back(0);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,43 @@ TEST(SnapReject, EveryTruncationThrowsSnapError) {
           << "truncated to " << n << ": kind " << to_string(e.kind());
       EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos);
     }
+  }
+}
+
+/// A tag-plane count whose byte size wraps 2^64 (8 * (2^61 + 1) = 8 mod
+/// 2^64) behind a valid checksum must read as truncation, before any
+/// allocation sized by it.
+TEST(SnapReject, HostilePlaneCountIsTruncatedNotAllocated) {
+  sim::Machine m(sim::machine_preset("tiny_8t", sim::ClusterMode::kQuadrant,
+                                     sim::MemoryMode::kFlat));
+  sim::state::MachineState s = capture(m);
+  constexpr std::uint64_t kSentinel = 0x5e171e1c10c4f00dull;
+  s.mem.l1.front().clock = kSentinel;
+  const MachineConfig& cfg = m.config();
+  std::vector<std::uint8_t> bytes = encode(s, cfg);
+
+  // CacheState travels as clock, resident, tag-plane count, tags, ...
+  std::vector<std::size_t> hits;
+  for (std::size_t i = 0; i + 8 <= bytes.size(); ++i) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + i, 8);
+    if (v == kSentinel) hits.push_back(i);
+  }
+  ASSERT_EQ(hits.size(), 1u);
+  const std::size_t count_at = hits.front() + 16;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, 8);
+  ASSERT_EQ(count, s.mem.l1.front().lines.size());
+
+  const std::uint64_t hostile = (std::uint64_t{1} << 61) + 1;
+  std::memcpy(bytes.data() + count_at, &hostile, 8);
+  const std::uint64_t sum = common::fnv1a(bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
+  try {
+    decode(bytes, cfg);
+    FAIL() << "decode accepted a tag plane of 2^61 + 1 words";
+  } catch (const SnapError& e) {
+    EXPECT_EQ(e.kind(), SnapError::Kind::kTruncated) << e.what();
   }
 }
 
