@@ -87,9 +87,47 @@ int main(int argc, char** argv) {
     sizes[2].threads = {1, 2, 4, 8, 16, 32, 64, 128, 256};
   }
 
+  // Every sort of the figure — each size's sweep and both kinds of the
+  // MCDRAM-vs-DRAM comparison — runs as one batch, biggest inputs first;
+  // the tables print afterwards. A sort is a pure function of its cell, so
+  // a cell that appears twice (the comparison's MCDRAM runs are also sweep
+  // points) is run once.
+  std::vector<SortCell> cells;
+  auto cell = [&cells](std::uint64_t bytes, int n, MemKind kind) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const SortCell& c = cells[i];
+      if (c.bytes == bytes && c.threads == n && c.kind == kind) return i;
+    }
+    cells.push_back({bytes, n, kind});
+    return cells.size() - 1;
+  };
+  std::vector<std::vector<std::size_t>> size_cells;
   for (const Size& sz : sizes) {
-    obs.phase(std::string("sort-") + sz.label);
-    const SortCurves c = sort_sweep(cfg, sm, sz.bytes, sz.threads, so, jobs);
+    size_cells.emplace_back();
+    for (int n : sz.threads) {
+      size_cells.back().push_back(cell(sz.bytes, n, so.kind));
+    }
+  }
+  struct ComparePoint {
+    std::uint64_t bytes;
+    int n;
+    std::size_t dram, mcdram;  // cell indices
+  };
+  std::vector<ComparePoint> cpoints;
+  for (std::uint64_t bytes : {MiB(4), MiB(large_mb)}) {
+    for (int n : {64, 256}) {
+      cpoints.push_back({bytes, n, cell(bytes, n, MemKind::kDDR),
+                         cell(bytes, n, MemKind::kMCDRAM)});
+    }
+  }
+  obs.phase("sort");
+  const std::vector<SortRun> runs = run_sorts(cfg, cells, so, jobs);
+
+  for (std::size_t si = 0; si < sizes.size(); ++si) {
+    const Size& sz = sizes[si];
+    std::vector<SortRun> sz_runs;
+    for (std::size_t i : size_cells[si]) sz_runs.push_back(runs[i]);
+    const SortCurves c = sort_curves(sm, sz.bytes, sz.threads, sz_runs, so);
     Table t(std::string("Figure 10 — sorting ") + sz.label +
             " (SNC4-flat, MCDRAM) [ns]");
     t.set_header({"threads", "measured", "mem model (lat)",
@@ -130,33 +168,10 @@ int main(int argc, char** argv) {
 
   // The paper's headline: MCDRAM does not improve this sort over DRAM.
   std::cout << "== MCDRAM vs DRAM (4 MB and " << large_mb << " MB) ==\n";
-  struct ComparePoint {
-    std::uint64_t bytes;
-    int n;
-  };
-  std::vector<ComparePoint> cpoints;
-  for (std::uint64_t bytes : {MiB(4), MiB(large_mb)}) {
-    for (int n : {64, 256}) cpoints.push_back({bytes, n});
-  }
-  struct CompareResult {
-    double td, tm;
-  };
-  const std::vector<CompareResult> cmps =
-      exec::parallel_map<CompareResult>(
-          static_cast<int>(cpoints.size()), jobs, [&](int i) {
-            const ComparePoint& p = cpoints[static_cast<std::size_t>(i)];
-            SortOptions d = so;
-            d.kind = MemKind::kDDR;
-            SortOptions m2 = so;
-            m2.kind = MemKind::kMCDRAM;
-            return CompareResult{
-                parallel_merge_sort(cfg, p.bytes, p.n, d).total_ns,
-                parallel_merge_sort(cfg, p.bytes, p.n, m2).total_ns};
-          });
-  for (std::size_t i = 0; i < cpoints.size(); ++i) {
-    std::cout << cpoints[i].bytes / MiB(1) << " MB, " << cpoints[i].n
+  for (const ComparePoint& p : cpoints) {
+    std::cout << p.bytes / MiB(1) << " MB, " << p.n
               << " threads: DRAM/MCDRAM = "
-              << fmt_num(cmps[i].td / cmps[i].tm, 3)
+              << fmt_num(runs[p.dram].total_ns / runs[p.mcdram].total_ns, 3)
               << " (paper: ~1, MCDRAM does not help)\n";
   }
   return 0;

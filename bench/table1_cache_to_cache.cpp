@@ -26,18 +26,19 @@ int main(int argc, char** argv) {
   Table t("Table I — cache-to-cache (flat memory)");
   t.set_header({"row", "SNC4", "SNC2", "QUAD", "HEM", "A2A"});
 
-  std::vector<SuiteResults> results;
+  // Every mode's suite cells run as one batch.
+  obs.phase("suite");
+  SuiteOptions opts;
+  opts.run.iters = iters;
+  opts.run.seed = seed;
+  opts.streams = false;
+  opts.jobs = jobs;
+  std::vector<MachineConfig> cfgs;
   for (ClusterMode mode : all_cluster_modes()) {
-    obs.phase(std::string("suite-") + to_string(mode));
-    SuiteOptions opts;
-    opts.run.iters = iters;
-    opts.run.seed = seed;
-    opts.streams = false;
-    opts.jobs = jobs;
-    MachineConfig cfg = knl7210(mode, MemoryMode::kFlat);
-    benchbin::observe(obs, cfg);
-    results.push_back(run_suite(cfg, opts));
+    cfgs.push_back(knl7210(mode, MemoryMode::kFlat));
+    benchbin::observe(obs, cfgs.back());
   }
+  const std::vector<SuiteResults> results = run_suites(cfgs, opts);
 
   auto row = [&](const std::string& name, auto getter, int prec = 0) {
     std::vector<std::string> cells{name};

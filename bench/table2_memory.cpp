@@ -69,19 +69,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (MemoryMode mem : {MemoryMode::kFlat, MemoryMode::kCache}) {
-    obs.phase(std::string("suite-") + to_string(mem));
-    std::vector<SuiteResults> results;
+  // Both memory modes' suites, every cluster mode each, run as one batch;
+  // the two tables print afterwards.
+  obs.phase("suite");
+  const MemoryMode mems[2] = {MemoryMode::kFlat, MemoryMode::kCache};
+  std::vector<MachineConfig> cfgs;
+  for (MemoryMode mem : mems) {
     for (ClusterMode mode : modes) {
       MachineConfig cfg = knl7210(mode, mem);
       if (mem == MemoryMode::kCache) cfg.scale_memory(cache_scale);
       benchbin::observe(obs, cfg);
-      SuiteOptions opts;
-      opts.run.iters = iters;
-      opts.fast = fast;
-      opts.jobs = jobs;
-      results.push_back(run_suite(cfg, opts));
+      cfgs.push_back(cfg);
     }
+  }
+  SuiteOptions opts;
+  opts.run.iters = iters;
+  opts.fast = fast;
+  opts.jobs = jobs;
+  const std::vector<SuiteResults> all = run_suites(cfgs, opts);
+
+  for (std::size_t mi = 0; mi < 2; ++mi) {
+    const MemoryMode mem = mems[mi];
+    const std::vector<SuiteResults> results(
+        all.begin() + static_cast<std::ptrdiff_t>(mi * modes.size()),
+        all.begin() + static_cast<std::ptrdiff_t>((mi + 1) * modes.size()));
 
     Table t(std::string("Table II — memory (") + to_string(mem) + " mode)");
     std::vector<std::string> header{"row"};

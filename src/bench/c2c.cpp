@@ -142,12 +142,20 @@ std::vector<Series> c2c_latency_per_core(const sim::MachineConfig& cfg,
       cells.push_back({st, core});
     }
   }
+  // Start hint: the threads a cell runs (S and F states add a helper).
+  exec::JobCosts cost;
+  for (const Cell& c : cells) {
+    const bool helper = c.state == PrepState::kS || c.state == PrepState::kF;
+    cost.push_back(helper ? 3 : 2);
+  }
   const std::vector<Summary> measured = exec::parallel_map<Summary>(
-      static_cast<int>(cells.size()), jobs, [&](int i) {
+      static_cast<int>(cells.size()), jobs,
+      [&](int i) {
         const Cell& c = cells[static_cast<std::size_t>(i)];
         return c2c_read_latency(cfg, /*victim=*/c.core, /*probe=*/origin,
                                 c.state, opts);
-      });
+      },
+      cost);
 
   std::vector<Series> out;
   std::size_t idx = 0;

@@ -79,12 +79,16 @@ Series multiline_size_sweep(const sim::MachineConfig& cfg, int victim_core,
                             const MultilineOptions& opts, int jobs) {
   Series s;
   s.name = std::string(to_string(op)) + "-" + to_string(state);
+  // Start hint: bytes per transfer (both threads move the whole message).
+  const exec::JobCosts cost(sizes.begin(), sizes.end());
   const std::vector<Summary> measured = exec::parallel_map<Summary>(
-      static_cast<int>(sizes.size()), jobs, [&](int i) {
+      static_cast<int>(sizes.size()), jobs,
+      [&](int i) {
         return multiline_bw(cfg, victim_core, probe_core,
                             sizes[static_cast<std::size_t>(i)], op, state,
                             opts);
-      });
+      },
+      cost);
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     s.add(static_cast<double>(sizes[i]), measured[i]);
   }

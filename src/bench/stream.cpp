@@ -38,6 +38,11 @@ double stream_bytes_factor(StreamOp op) {
   return 1.0;
 }
 
+double stream_cost(StreamOp op, const StreamConfig& sc) {
+  return stream_bytes_factor(op) * static_cast<double>(sc.buffer_bytes) *
+         sc.nthreads * sc.run.iters;
+}
+
 namespace {
 // Stream arrays needed by a kernel (dst plus 0-2 sources).
 int arrays_for(StreamOp op) {
@@ -147,25 +152,42 @@ StreamResult stream_bench(const sim::MachineConfig& cfg, StreamOp op,
   return out;
 }
 
-Series stream_thread_sweep(const sim::MachineConfig& cfg, StreamOp op,
-                           StreamConfig sc,
-                           const std::vector<int>& thread_counts,
-                           int jobs) {
-  Series s;
-  s.name = std::string(to_string(op)) + "-" +
-           std::string(sim::to_string(sc.kind)) + "-" +
-           sim::to_string(sc.sched);
+std::vector<Series> stream_thread_sweep(
+    const sim::MachineConfig& cfg, StreamOp op,
+    const std::vector<StreamConfig>& curves,
+    const std::vector<int>& thread_counts, int jobs) {
+  const std::size_t npts = thread_counts.size();
+  std::vector<StreamConfig> points;
+  exec::JobCosts cost;
+  for (const StreamConfig& sc : curves) {
+    for (int n : thread_counts) {
+      StreamConfig point = sc;
+      point.nthreads = n;
+      points.push_back(point);
+      cost.push_back(stream_cost(op, point));
+    }
+  }
   const std::vector<StreamResult> results =
       exec::parallel_map<StreamResult>(
-          static_cast<int>(thread_counts.size()), jobs, [&](int i) {
-            StreamConfig point = sc;
-            point.nthreads = thread_counts[static_cast<std::size_t>(i)];
-            return stream_bench(cfg, op, point);
-          });
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    s.add(thread_counts[i], results[i].gbps);
+          static_cast<int>(points.size()), jobs,
+          [&](int i) {
+            return stream_bench(cfg, op,
+                                points[static_cast<std::size_t>(i)]);
+          },
+          cost);
+  std::vector<Series> out;
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    const StreamConfig& sc = curves[c];
+    Series s;
+    s.name = std::string(to_string(op)) + "-" +
+             std::string(sim::to_string(sc.kind)) + "-" +
+             sim::to_string(sc.sched);
+    for (std::size_t i = 0; i < npts; ++i) {
+      s.add(thread_counts[i], results[c * npts + i].gbps);
+    }
+    out.push_back(std::move(s));
   }
-  return s;
+  return out;
 }
 
 }  // namespace capmem::bench

@@ -46,12 +46,19 @@ struct StreamResult {
 StreamResult stream_bench(const sim::MachineConfig& cfg, StreamOp op,
                           const StreamConfig& sc);
 
-/// Thread-count sweep (Fig. 9); x = nthreads. Each point is an isolated
-/// simulation and runs on `jobs` host threads (exec layer); results are
+/// Start-order hint (exec::JobCosts) of one stream cell: the bytes all its
+/// threads move over all iterations, which host time follows.
+double stream_cost(StreamOp op, const StreamConfig& sc);
+
+/// Thread-count sweeps (Fig. 9), one Series per entry of `curves` (its
+/// nthreads is ignored); x = nthreads. Every (curve, thread count) point is
+/// an isolated simulation, and all of them run as one batch on `jobs` host
+/// threads (exec layer), the highest stream_cost first; results are
 /// bit-identical for any jobs value.
-Series stream_thread_sweep(const sim::MachineConfig& cfg, StreamOp op,
-                           StreamConfig sc,
-                           const std::vector<int>& thread_counts,
-                           int jobs = 1);
+std::vector<Series> stream_thread_sweep(const sim::MachineConfig& cfg,
+                                        StreamOp op,
+                                        const std::vector<StreamConfig>& curves,
+                                        const std::vector<int>& thread_counts,
+                                        int jobs = 1);
 
 }  // namespace capmem::bench

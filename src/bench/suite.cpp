@@ -45,53 +45,65 @@ Pooled pool_remote(const std::vector<Summary>& per_victim) {
   return out;
 }
 
-}  // namespace
-
-// The suite is planned as a list of independent experiment cells — every
-// job below builds its own Machine and writes one exclusive slot — then
-// executed on opts.jobs host threads and reduced in planning order. All
-// cell parameters (including seeds) are fixed at planning time, so the
-// results are bit-identical for every jobs value, and identical to the
-// historical serial loop.
-SuiteResults run_suite(const sim::MachineConfig& cfg,
-                       const SuiteOptions& opts) {
+// One suite's planned cells and the slots they write. The jobs of a batch
+// capture a plan by reference, so plans never move once planned.
+struct SuitePlan {
   SuiteResults r;
-  r.cfg = cfg;
-  std::vector<std::function<void()>> jobs;
+  std::vector<int> victims;
+  std::vector<Summary> remote_slots[3];
+  Summary sweep_slots[4];
+  std::vector<Summary> cont_slots;
+  std::vector<int> pair_counts;
+  std::vector<Summary> cong_slots;
+};
 
-  CAPMEM_LOG_INFO << "suite[" << sim::to_string(cfg.cluster) << "/"
-                  << sim::to_string(cfg.memory) << "]: planning "
-                  << (opts.jobs == 1 ? "serial" : "parallel") << " run";
+const PrepState kRemoteStates[3] = {PrepState::kM, PrepState::kE,
+                                    PrepState::kF};
+const std::uint64_t kSweepBytes[4] = {kLineBytes, KiB(1), KiB(8), KiB(64)};
+const StreamOp kOps[4] = {StreamOp::kCopy, StreamOp::kRead, StreamOp::kWrite,
+                          StreamOp::kTriad};
+
+// Every cell below builds its own Machine and writes one exclusive slot of
+// `p`. Its start hint is the threads it runs, or for a stream kernel the
+// bytes all its threads move (bench::stream_cost), so the long stream cells
+// start first and the short cache-to-cache cells fill in behind them.
+void plan_suite(SuitePlan& p, const SuiteOptions& opts,
+                std::vector<std::function<void()>>& jobs,
+                exec::JobCosts& cost) {
+  SuiteResults& r = p.r;
+  const sim::MachineConfig& cfg = r.cfg;
+  auto add = [&](double hint, std::function<void()> job) {
+    jobs.push_back(std::move(job));
+    cost.push_back(hint);
+  };
 
   // --- Cache-to-cache latency cells (Table I top half) ---
   C2COptions copts;
   copts.run = opts.run;
   // L1: re-read on the same core.
-  jobs.push_back(
-      [&, copts] { r.lat_l1 = c2c_read_latency(cfg, 0, 0, PrepState::kE, copts); });
+  add(2, [&r, copts] {
+    r.lat_l1 = c2c_read_latency(r.cfg, 0, 0, PrepState::kE, copts);
+  });
   // Same tile: victim core 1, probe core 0.
-  jobs.push_back([&, copts] {
-    r.lat_tile_m = c2c_read_latency(cfg, 1, 0, PrepState::kM, copts);
+  add(2, [&r, copts] {
+    r.lat_tile_m = c2c_read_latency(r.cfg, 1, 0, PrepState::kM, copts);
   });
-  jobs.push_back([&, copts] {
-    r.lat_tile_e = c2c_read_latency(cfg, 1, 0, PrepState::kE, copts);
+  add(2, [&r, copts] {
+    r.lat_tile_e = c2c_read_latency(r.cfg, 1, 0, PrepState::kE, copts);
   });
-  jobs.push_back([&, copts] {
-    r.lat_tile_sf = c2c_read_latency(cfg, 1, 0, PrepState::kS, copts);
+  add(3, [&r, copts] {
+    r.lat_tile_sf = c2c_read_latency(r.cfg, 1, 0, PrepState::kS, copts);
   });
   // Remote tiles: several victims per state for the range cells.
-  const std::vector<int> victims =
-      remote_victims(cfg, opts.remote_samples);
-  CAPMEM_CHECK_MSG(!victims.empty(), "no remote victim tiles to sample");
-  const PrepState remote_states[3] = {PrepState::kM, PrepState::kE,
-                                      PrepState::kF};
-  std::vector<Summary> remote_slots[3];
+  p.victims = remote_victims(cfg, opts.remote_samples);
+  CAPMEM_CHECK_MSG(!p.victims.empty(), "no remote victim tiles to sample");
   for (int si = 0; si < 3; ++si) {
-    remote_slots[si].resize(victims.size());
-    for (std::size_t vi = 0; vi < victims.size(); ++vi) {
-      jobs.push_back([&, copts, si, vi] {
-        remote_slots[si][vi] = c2c_read_latency(
-            cfg, victims[vi], /*probe=*/0, remote_states[si], copts);
+    p.remote_slots[si].resize(p.victims.size());
+    for (std::size_t vi = 0; vi < p.victims.size(); ++vi) {
+      add(kRemoteStates[si] == PrepState::kF ? 3 : 2, [&p, copts, si, vi] {
+        p.remote_slots[si][vi] =
+            c2c_read_latency(p.r.cfg, p.victims[vi], /*probe=*/0,
+                             kRemoteStates[si], copts);
       });
     }
   }
@@ -102,142 +114,137 @@ SuiteResults run_suite(const sim::MachineConfig& cfg,
   const int remote_core =
       (cfg.active_tiles / 2) * cfg.cores_per_tile;  // far tile
   const std::uint64_t msg = KiB(64);
-  jobs.push_back([&, mopts] {
-    r.bw_read_remote = multiline_bw(cfg, remote_core, 0, msg, XferOp::kRead,
-                                    PrepState::kE, mopts);
+  add(2, [&r, mopts, remote_core, msg] {
+    r.bw_read_remote = multiline_bw(r.cfg, remote_core, 0, msg,
+                                    XferOp::kRead, PrepState::kE, mopts);
   });
-  jobs.push_back([&, mopts] {
-    r.bw_copy_remote = multiline_bw(cfg, remote_core, 0, msg, XferOp::kCopy,
-                                    PrepState::kE, mopts);
+  add(2, [&r, mopts, remote_core, msg] {
+    r.bw_copy_remote = multiline_bw(r.cfg, remote_core, 0, msg,
+                                    XferOp::kCopy, PrepState::kE, mopts);
   });
-  jobs.push_back([&, mopts] {
+  add(2, [&r, mopts, msg] {
     r.bw_copy_tile_m =
-        multiline_bw(cfg, 1, 0, msg, XferOp::kCopy, PrepState::kM, mopts);
+        multiline_bw(r.cfg, 1, 0, msg, XferOp::kCopy, PrepState::kM, mopts);
   });
-  jobs.push_back([&, mopts] {
+  add(2, [&r, mopts, msg] {
     r.bw_copy_tile_e =
-        multiline_bw(cfg, 1, 0, msg, XferOp::kCopy, PrepState::kE, mopts);
+        multiline_bw(r.cfg, 1, 0, msg, XferOp::kCopy, PrepState::kE, mopts);
   });
   // Size sweep for the alpha + beta*N multi-line law.
-  const std::uint64_t sweep_bytes[4] = {kLineBytes, KiB(1), KiB(8), KiB(64)};
-  Summary sweep_slots[4];
   for (int i = 0; i < 4; ++i) {
-    jobs.push_back([&, mopts, i] {
-      sweep_slots[i] = multiline_bw(cfg, remote_core, 0, sweep_bytes[i],
-                                    XferOp::kCopy, PrepState::kM, mopts);
+    add(2, [&p, mopts, remote_core, i] {
+      p.sweep_slots[i] =
+          multiline_bw(p.r.cfg, remote_core, 0, kSweepBytes[i],
+                       XferOp::kCopy, PrepState::kM, mopts);
     });
   }
 
   // --- Contention / congestion ---
   ContentionOptions cnopts;
   cnopts.run = opts.run;
-  std::vector<Summary> cont_slots(opts.contention_ns.size());
+  p.cont_slots.resize(opts.contention_ns.size());
   for (std::size_t i = 0; i < opts.contention_ns.size(); ++i) {
-    jobs.push_back([&, cnopts, i] {
-      cont_slots[i] = contention_point(cfg, opts.contention_ns[i], cnopts);
+    const int n = opts.contention_ns[i];
+    add(n + 1, [&p, cnopts, n, i] {
+      p.cont_slots[i] = contention_point(p.r.cfg, n, cnopts);
     });
   }
   CongestionOptions cgopts;
   cgopts.run = opts.run;  // one RunOpts threaded through, then adjusted
   cgopts.run.iters = std::max(11, opts.run.iters / 4);
-  const std::vector<int> pair_counts{1, 2, 4,
-                                     std::max(4, cfg.active_tiles / 4)};
-  std::vector<Summary> cong_slots(pair_counts.size());
-  for (std::size_t i = 0; i < pair_counts.size(); ++i) {
-    jobs.push_back([&, cgopts, i] {
-      cong_slots[i] = congestion_point(cfg, pair_counts[i], cgopts);
+  p.pair_counts = {1, 2, 4, std::max(4, cfg.active_tiles / 4)};
+  p.cong_slots.resize(p.pair_counts.size());
+  for (std::size_t i = 0; i < p.pair_counts.size(); ++i) {
+    const int pairs = p.pair_counts[i];
+    add(2 * pairs, [&p, cgopts, pairs, i] {
+      p.cong_slots[i] = congestion_point(p.r.cfg, pairs, cgopts);
     });
   }
 
   // --- Memory latency (Table II) ---
   MemLatencyOptions lopts;
   lopts.run = opts.run;
-  jobs.push_back(
-      [&, lopts] { r.mem_lat_dram = memory_latency(cfg, MemKind::kDDR, lopts); });
+  add(1, [&r, lopts] {
+    r.mem_lat_dram = memory_latency(r.cfg, MemKind::kDDR, lopts);
+  });
   if (cfg.memory != MemoryMode::kCache) {
-    jobs.push_back([&, lopts] {
-      r.mem_lat_mcdram = memory_latency(cfg, MemKind::kMCDRAM, lopts);
+    add(1, [&r, lopts] {
+      r.mem_lat_mcdram = memory_latency(r.cfg, MemKind::kMCDRAM, lopts);
     });
   }
 
   // --- Stream kernels (Table II bandwidth) ---
-  const StreamOp ops[4] = {StreamOp::kCopy, StreamOp::kRead,
-                           StreamOp::kWrite, StreamOp::kTriad};
-  if (opts.streams) {
-    const bool flat_kinds = cfg.memory != MemoryMode::kCache;
-    r.has_mcdram_streams = flat_kinds;
-    r.has_streams = true;
-    for (int oi = 0; oi < 4; ++oi) {
-      for (int ki = 0; ki < (flat_kinds ? 2 : 1); ++ki) {
-        const MemKind kind = ki == 0 ? MemKind::kDDR : MemKind::kMCDRAM;
-        StreamConfig sc;
-        sc.kind = kind;
-        sc.run = opts.run;  // one RunOpts threaded through, then adjusted
-        if (opts.fast) {
-          sc.run.iters = 5;
-          sc.buffer_bytes = KiB(128);
-          sc.nthreads = std::min(16, cfg.cores());
-          sc.pool_buffers = 2;
-        } else {
-          sc.run.iters = 9;
-          sc.buffer_bytes = KiB(256);
-          // DRAM saturates with ~16 cores; MCDRAM needs the full chip.
-          sc.nthreads =
-              kind == MemKind::kDDR ? std::min(16, cfg.cores()) : cfg.cores();
-          sc.sched = Schedule::kFillTiles;
-        }
-        sc.nt = true;
-        StreamConfig nt_random = sc;
-        nt_random.randomize = true;
-        StreamConfig stream_peak = sc;
-        stream_peak.randomize = false;  // classic STREAM: fixed buffers
-        jobs.push_back([&, oi, ki, nt_random] {
-          r.stream[oi][ki].nt_random = stream_bench(cfg, ops[oi], nt_random);
-        });
-        jobs.push_back([&, oi, ki, stream_peak] {
-          r.stream[oi][ki].stream_peak =
-              stream_bench(cfg, ops[oi], stream_peak);
-        });
-        if (ops[oi] == StreamOp::kCopy) {
-          StreamConfig one = nt_random;
-          one.nthreads = 1;
-          jobs.push_back([&, ki, one] {
-            r.copy_1thread[ki] = stream_bench(cfg, StreamOp::kCopy, one);
-          });
-        }
+  if (!opts.streams) return;
+  const bool flat_kinds = cfg.memory != MemoryMode::kCache;
+  r.has_mcdram_streams = flat_kinds;
+  r.has_streams = true;
+  auto add_stream = [&](StreamOp op, const StreamConfig& sc,
+                        StreamResult* slot) {
+    add(stream_cost(op, sc),
+        [&r, op, sc, slot] { *slot = stream_bench(r.cfg, op, sc); });
+  };
+  for (int oi = 0; oi < 4; ++oi) {
+    for (int ki = 0; ki < (flat_kinds ? 2 : 1); ++ki) {
+      const MemKind kind = ki == 0 ? MemKind::kDDR : MemKind::kMCDRAM;
+      StreamConfig sc;
+      sc.kind = kind;
+      sc.run = opts.run;  // one RunOpts threaded through, then adjusted
+      if (opts.fast) {
+        sc.run.iters = 5;
+        sc.buffer_bytes = KiB(128);
+        sc.nthreads = std::min(16, cfg.cores());
+        sc.pool_buffers = 2;
+      } else {
+        sc.run.iters = 9;
+        sc.buffer_bytes = KiB(256);
+        // DRAM saturates with ~16 cores; MCDRAM needs the full chip.
+        sc.nthreads =
+            kind == MemKind::kDDR ? std::min(16, cfg.cores()) : cfg.cores();
+        sc.sched = Schedule::kFillTiles;
+      }
+      sc.nt = true;
+      StreamConfig nt_random = sc;
+      nt_random.randomize = true;
+      StreamConfig stream_peak = sc;
+      stream_peak.randomize = false;  // classic STREAM: fixed buffers
+      add_stream(kOps[oi], nt_random, &r.stream[oi][ki].nt_random);
+      add_stream(kOps[oi], stream_peak, &r.stream[oi][ki].stream_peak);
+      if (kOps[oi] == StreamOp::kCopy) {
+        StreamConfig one = nt_random;
+        one.nthreads = 1;
+        add_stream(StreamOp::kCopy, one, &r.copy_1thread[ki]);
       }
     }
   }
+}
 
-  // --- Execute ---
-  CAPMEM_LOG_INFO << "suite: running " << jobs.size() << " cells on "
-                  << std::max(1, opts.jobs) << " worker(s)";
-  exec::run_jobs(std::move(jobs), opts.jobs);
-
-  // --- Reduce (planning order; pure functions of the slot values) ---
+// Reduces one suite's slots (planning order; pure functions of the slot
+// values).
+void reduce_suite(SuitePlan& p, const SuiteOptions& opts) {
+  SuiteResults& r = p.r;
   for (int si = 0; si < 3; ++si) {
-    const Pooled p = pool_remote(remote_slots[si]);
-    switch (remote_states[si]) {
+    const Pooled pooled = pool_remote(p.remote_slots[si]);
+    switch (kRemoteStates[si]) {
       case PrepState::kM:
-        r.lat_remote_m = p.pooled;
-        r.range_remote_m = p.range;
+        r.lat_remote_m = pooled.pooled;
+        r.range_remote_m = pooled.range;
         break;
       case PrepState::kE:
-        r.lat_remote_e = p.pooled;
-        r.range_remote_e = p.range;
+        r.lat_remote_e = pooled.pooled;
+        r.range_remote_e = pooled.range;
         break;
       default:
-        r.lat_remote_sf = p.pooled;
-        r.range_remote_sf = p.range;
+        r.lat_remote_sf = pooled.pooled;
+        r.range_remote_sf = pooled.range;
         break;
     }
   }
   {
     std::vector<double> xs, ys;
     for (int i = 0; i < 4; ++i) {
-      xs.push_back(static_cast<double>(lines_for(sweep_bytes[i])));
-      ys.push_back(static_cast<double>(sweep_bytes[i]) /
-                   sweep_slots[i].median);  // ns
+      xs.push_back(static_cast<double>(lines_for(kSweepBytes[i])));
+      ys.push_back(static_cast<double>(kSweepBytes[i]) /
+                   p.sweep_slots[i].median);  // ns
     }
     r.multiline_ns = fit_linear(xs, ys);
   }
@@ -245,16 +252,16 @@ SuiteResults run_suite(const sim::MachineConfig& cfg,
     r.contention.per_n.name = "contention-1:N";
     std::vector<double> xs, ys;
     for (std::size_t i = 0; i < opts.contention_ns.size(); ++i) {
-      r.contention.per_n.add(opts.contention_ns[i], cont_slots[i]);
+      r.contention.per_n.add(opts.contention_ns[i], p.cont_slots[i]);
       xs.push_back(opts.contention_ns[i]);
-      ys.push_back(cont_slots[i].median);
+      ys.push_back(p.cont_slots[i].median);
     }
     r.contention.fit = fit_linear(xs, ys);
   }
   {
     r.congestion.latency_vs_pairs.name = "p2p-pairs";
-    for (std::size_t i = 0; i < pair_counts.size(); ++i) {
-      r.congestion.latency_vs_pairs.add(pair_counts[i], cong_slots[i]);
+    for (std::size_t i = 0; i < p.pair_counts.size(); ++i) {
+      r.congestion.latency_vs_pairs.add(p.pair_counts[i], p.cong_slots[i]);
     }
     if (r.congestion.latency_vs_pairs.size() >= 2) {
       const double first = r.congestion.latency_vs_pairs.ys.front().median;
@@ -262,7 +269,44 @@ SuiteResults run_suite(const sim::MachineConfig& cfg,
       r.congestion.ratio = first > 0 ? last / first : 1.0;
     }
   }
-  return r;
+}
+
+}  // namespace
+
+// Each suite is planned as a list of independent experiment cells, every
+// suite's cells join one batch on opts.jobs host threads, and each suite
+// is reduced in planning order. All cell parameters (including seeds) are
+// fixed at planning time, so the results are bit-identical for every jobs
+// value, and identical to the historical serial loop.
+std::vector<SuiteResults> run_suites(
+    const std::vector<sim::MachineConfig>& cfgs, const SuiteOptions& opts) {
+  std::vector<SuitePlan> plans(cfgs.size());  // never resized: jobs point in
+  std::vector<std::function<void()>> jobs;
+  exec::JobCosts cost;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    plans[i].r.cfg = cfgs[i];
+    CAPMEM_LOG_INFO << "suite[" << sim::to_string(cfgs[i].cluster) << "/"
+                    << sim::to_string(cfgs[i].memory) << "]: planning "
+                    << (opts.jobs == 1 ? "serial" : "parallel") << " run";
+    plan_suite(plans[i], opts, jobs, cost);
+  }
+
+  CAPMEM_LOG_INFO << "suite: running " << jobs.size() << " cells on "
+                  << std::max(1, opts.jobs) << " worker(s)";
+  exec::run_jobs(std::move(jobs), opts.jobs, cost);
+
+  std::vector<SuiteResults> out;
+  out.reserve(plans.size());
+  for (SuitePlan& p : plans) {
+    reduce_suite(p, opts);
+    out.push_back(std::move(p.r));
+  }
+  return out;
+}
+
+SuiteResults run_suite(const sim::MachineConfig& cfg,
+                       const SuiteOptions& opts) {
+  return std::move(run_suites({cfg}, opts).front());
 }
 
 }  // namespace capmem::bench

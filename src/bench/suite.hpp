@@ -78,4 +78,11 @@ struct SuiteResults {
 SuiteResults run_suite(const sim::MachineConfig& cfg,
                        const SuiteOptions& opts = {});
 
+/// One suite per config, with every suite's cells in one batch on
+/// opts.jobs host threads (the longest cells first), so a short suite does
+/// not wait for a long one. Results in config order, each identical to
+/// run_suite(cfgs[i], opts).
+std::vector<SuiteResults> run_suites(
+    const std::vector<sim::MachineConfig>& cfgs, const SuiteOptions& opts);
+
 }  // namespace capmem::bench

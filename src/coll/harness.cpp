@@ -238,6 +238,9 @@ std::vector<CollResult> run_collective_sweep(
     ho.seed = trial.seed;  // per-point seed, stable across jobs values
     return run_collective(cfg, p.algo, p.nthreads, model, ho);
   };
+  // Host time grows with the thread count, so the widest cells start first
+  // instead of last.
+  e.cost = [](const SweepPoint& p) { return p.nthreads; };
   return exec::run_experiment(e, jobs);
 }
 

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace capmem {
 
@@ -46,12 +47,25 @@ class ClassifiedFailure {
 };
 
 namespace detail {
-[[noreturn]] inline void check_failed(const char* cond, const char* file,
-                                      int line, const std::string& msg) {
+// Both failure paths are cold and never inlined: a check in a hot loop
+// costs its compare and one call, and its message formatting stays out of
+// the caller's code (and out of link-time inlining budgets).
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const char* cond, const char* file, int line, std::string_view msg) {
   std::ostringstream os;
   os << "CHECK failed: " << cond << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
   throw CheckError(os.str());
+}
+
+/// CAPMEM_CHECK_MSG's failure path: `write` streams the message operands
+/// (with `ctx` as its captures), so the ostringstream is built here only.
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed_msg(
+    const char* cond, const char* file, int line,
+    void (*write)(std::ostream&, const void*), const void* ctx) {
+  std::ostringstream os;
+  write(os, ctx);
+  check_failed(cond, file, line, os.str());
 }
 }  // namespace detail
 
@@ -60,16 +74,19 @@ namespace detail {
 #define CAPMEM_CHECK(cond)                                              \
   do {                                                                  \
     if (!(cond))                                                        \
-      ::capmem::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
+      ::capmem::detail::check_failed(#cond, __FILE__, __LINE__, {});    \
   } while (0)
 
 #define CAPMEM_CHECK_MSG(cond, msg)                                     \
   do {                                                                  \
     if (!(cond)) {                                                      \
-      std::ostringstream os_;                                           \
-      os_ << msg;                                                       \
-      ::capmem::detail::check_failed(#cond, __FILE__, __LINE__,         \
-                                     os_.str());                        \
+      const auto write_ = [&](std::ostream& os_) { os_ << msg; };       \
+      ::capmem::detail::check_failed_msg(                               \
+          #cond, __FILE__, __LINE__,                                    \
+          [](std::ostream& os_, const void* w_) {                       \
+            (*static_cast<decltype(write_)*>(w_))(os_);                 \
+          },                                                            \
+          &write_);                                                     \
     }                                                                   \
   } while (0)
 

@@ -7,9 +7,11 @@
 // (one slot per job, no mutex on the result path) and are reduced per
 // config in trial order, so the output is bit-identical for any worker
 // count, and identical to running the grid serially in submission order.
+// An optional per-config cost hint decides only which jobs start first
+// (longest first, so a big cell does not start last and run alone).
 //
-// The harness loops in bench::run_suite, coll::run_collective_sweep and
-// sort::sort_sweep are all instances of this shape; future fault injection
+// The harness loops in bench::run_suites, coll::run_collective_sweep and
+// sort::run_sorts are all instances of this shape; future fault injection
 // or remote dispatch plugs in here without touching the harnesses.
 #pragma once
 
@@ -47,6 +49,10 @@ struct Experiment {
   /// result. Unset: the sole trial's result is returned (requires trials
   /// == 1).
   std::function<Result(const Config&, std::vector<Result>&&)> reduce;
+  /// Start-order hint per config (see exec::JobCosts): every trial of a
+  /// costlier config starts before those of a cheaper one. A pure function
+  /// of the config; unset: submission order. Never changes a result.
+  std::function<double(const Config&)> cost;
 };
 
 /// Runs the experiment grid on `nworkers` host threads (<= 1: inline,
@@ -69,7 +75,11 @@ std::vector<Result> run_experiment(const Experiment<Config, Result>& e,
   std::vector<Result> slots(ncfg * ntrials);  // one exclusive slot per job
   std::vector<std::function<void()>> jobs;
   jobs.reserve(ncfg * ntrials);
+  JobCosts cost;
   for (std::size_t c = 0; c < ncfg; ++c) {
+    if (e.cost != nullptr) {
+      cost.insert(cost.end(), ntrials, e.cost(e.configs[c]));
+    }
     for (std::size_t t = 0; t < ntrials; ++t) {
       Trial trial{static_cast<int>(c), static_cast<int>(t),
                   derive_seed(e.base_seed, c, t)};
@@ -79,7 +89,7 @@ std::vector<Result> run_experiment(const Experiment<Config, Result>& e,
       });
     }
   }
-  run_jobs(std::move(jobs), nworkers);
+  run_jobs(std::move(jobs), nworkers, cost);
 
   std::vector<Result> out;
   out.reserve(ncfg);
@@ -101,9 +111,11 @@ std::vector<Result> run_experiment(const Experiment<Config, Result>& e,
 
 /// Index-parallel map: runs `fn(i)` for i in [0, n) and returns the results
 /// in index order. The degenerate one-trial Experiment, for harness loops
-/// whose cells are already fully described by their index.
+/// whose cells are already fully described by their index; `cost` (empty,
+/// or one hint per index) orders only when each index starts.
 template <typename Result, typename Fn>
-std::vector<Result> parallel_map(int n, int nworkers, Fn&& fn) {
+std::vector<Result> parallel_map(int n, int nworkers, Fn&& fn,
+                                 const JobCosts& cost = {}) {
   CAPMEM_CHECK(n >= 0);
   std::vector<Result> slots(static_cast<std::size_t>(n));
   std::vector<std::function<void()>> jobs;
@@ -112,7 +124,7 @@ std::vector<Result> parallel_map(int n, int nworkers, Fn&& fn) {
     Result* slot = &slots[static_cast<std::size_t>(i)];
     jobs.push_back([&fn, i, slot] { *slot = fn(i); });
   }
-  run_jobs(std::move(jobs), nworkers);
+  run_jobs(std::move(jobs), nworkers, cost);
   return slots;
 }
 
@@ -122,7 +134,8 @@ std::vector<Result> parallel_map(int n, int nworkers, Fn&& fn) {
 /// submission order) and why.
 template <typename Result, typename Fn>
 std::pair<std::vector<Result>, BatchReport> try_parallel_map(
-    int n, int nworkers, Fn&& fn, const RecoveryOptions& opts = {}) {
+    int n, int nworkers, Fn&& fn, const RecoveryOptions& opts = {},
+    const JobCosts& cost = {}) {
   CAPMEM_CHECK(n >= 0);
   std::vector<Result> slots(static_cast<std::size_t>(n));
   std::vector<std::function<void()>> jobs;
@@ -131,7 +144,7 @@ std::pair<std::vector<Result>, BatchReport> try_parallel_map(
     Result* slot = &slots[static_cast<std::size_t>(i)];
     jobs.push_back([&fn, i, slot] { *slot = fn(i); });
   }
-  BatchReport rep = run_jobs_recover(std::move(jobs), nworkers, opts);
+  BatchReport rep = run_jobs_recover(std::move(jobs), nworkers, opts, cost);
   return {std::move(slots), std::move(rep)};
 }
 

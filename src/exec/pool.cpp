@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
+#include "common/check.hpp"
 #include "exec/progress.hpp"
 #include "obs/metrics.hpp"
 
@@ -20,7 +22,9 @@ double us_since(Clock::time_point t0) {
 // The unobserved dispatch path. Every job runs (a throw never skips later
 // jobs' slots); failures come back by submission index, already ordered.
 std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
-                                  int nworkers) {
+                                  int nworkers, const JobCosts& cost) {
+  // Validated on both paths, so a malformed hint fails at any --jobs.
+  const std::vector<std::size_t> order = dispatch_order(cost, jobs.size());
   std::vector<JobError> errors;
   if (nworkers <= 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -33,9 +37,8 @@ std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
     return errors;
   }
   Pool pool(std::min<int>(nworkers, static_cast<int>(jobs.size())));
-  std::vector<std::future<void>> futs;
-  futs.reserve(jobs.size());
-  for (auto& j : jobs) futs.push_back(pool.submit(std::move(j)));
+  std::vector<std::future<void>> futs(jobs.size());
+  for (std::size_t i : order) futs[i] = pool.submit(std::move(jobs[i]));
   // Wait for everything before returning so no job still references the
   // caller's slots when run_jobs_collect returns.
   for (std::size_t i = 0; i < futs.size(); ++i) {
@@ -54,7 +57,7 @@ std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
 // never in experiment results or stdout.
 std::vector<JobError> run_jobs_profiled(
     std::vector<std::function<void()>>&& jobs, int nworkers,
-    obs::Registry& reg) {
+    const JobCosts& cost, obs::Registry& reg) {
   const std::size_t njobs = jobs.size();
   const Clock::time_point batch_start = Clock::now();
   std::vector<std::function<void()>> wrapped;
@@ -75,7 +78,8 @@ std::vector<JobError> run_jobs_profiled(
   reg.add("exec.jobs", static_cast<double>(njobs));
   reg.set("exec.workers", static_cast<double>(std::max(1, nworkers)));
   const double wall_sum_before = reg.hist("exec.job_wall_us").sum;
-  std::vector<JobError> errors = collect_raw(std::move(wrapped), nworkers);
+  std::vector<JobError> errors =
+      collect_raw(std::move(wrapped), nworkers, cost);
   const double batch_us = us_since(batch_start);
   reg.record("exec.batch_wall_us", batch_us);
   // Worker utilization of this batch: summed job wall time over the
@@ -122,6 +126,23 @@ std::future<void> Pool::submit(std::function<void()> fn) {
   return fut;
 }
 
+std::vector<std::size_t> dispatch_order(const JobCosts& cost,
+                                        std::size_t njobs) {
+  CAPMEM_CHECK_MSG(cost.empty() || cost.size() == njobs,
+                   cost.size() << " cost hints for " << njobs << " jobs");
+  std::vector<std::size_t> order(njobs);
+  for (std::size_t i = 0; i < njobs; ++i) order[i] = i;
+  if (cost.empty()) return order;
+  for (double c : cost) {
+    CAPMEM_CHECK_MSG(std::isfinite(c), "non-finite job cost hint " << c);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  return order;
+}
+
 int Pool::default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max(1, static_cast<int>(hw));
@@ -151,7 +172,8 @@ void Pool::worker_loop() {
 }
 
 std::vector<JobError> run_jobs_collect(
-    std::vector<std::function<void()>>&& jobs, int nworkers) {
+    std::vector<std::function<void()>>&& jobs, int nworkers,
+    const JobCosts& cost) {
   if (ProgressMeter* pm = progress_meter()) {
     // The meter ticks when a job leaves its slot — including on a throw, so
     // the heartbeat never undercounts a failing sweep.
@@ -167,8 +189,8 @@ std::vector<JobError> run_jobs_collect(
     }
   }
   obs::Registry* reg = obs::process_registry();
-  if (reg == nullptr) return collect_raw(std::move(jobs), nworkers);
-  return run_jobs_profiled(std::move(jobs), nworkers, *reg);
+  if (reg == nullptr) return collect_raw(std::move(jobs), nworkers, cost);
+  return run_jobs_profiled(std::move(jobs), nworkers, cost, *reg);
 }
 
 JobFailureHandler set_job_failure_handler(JobFailureHandler h) {
@@ -177,8 +199,10 @@ JobFailureHandler set_job_failure_handler(JobFailureHandler h) {
   return prev;
 }
 
-void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers) {
-  std::vector<JobError> errors = run_jobs_collect(std::move(jobs), nworkers);
+void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers,
+              const JobCosts& cost) {
+  std::vector<JobError> errors =
+      run_jobs_collect(std::move(jobs), nworkers, cost);
   if (errors.empty()) return;
   if (g_failure_handler) {
     for (const JobError& e : errors) g_failure_handler(e.job, e.error);

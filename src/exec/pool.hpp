@@ -54,12 +54,27 @@ struct JobError {
   std::exception_ptr error;
 };
 
+/// Per-job start-order hint of a batch: one finite value per job (larger =
+/// expected to run longer), or empty for submission order. Harnesses derive
+/// it from the job's config (threads, threads x bytes per thread), never
+/// from a measured time, so it cannot depend on the host.
+using JobCosts = std::vector<double>;
+
+/// The order in which a batch's jobs start on a Pool: submission indices
+/// stably sorted by descending cost, ties kept in submission order
+/// (longest-processing-time-first list scheduling, Graham 1969). Empty
+/// `cost`: 0..njobs-1.
+std::vector<std::size_t> dispatch_order(const JobCosts& cost,
+                                        std::size_t njobs);
+
 /// Runs every job in `jobs`. With `nworkers` <= 1 the jobs run inline on
-/// the calling thread, in order — the serial reference path; otherwise they
-/// run on a Pool of `nworkers` threads. All jobs run even when some throw;
-/// failures are collected in submission order and returned, and results are
-/// whatever the jobs wrote into their own slots: callers give each job
-/// exclusive storage and merge in deterministic order.
+/// the calling thread, in submission order — the serial reference path;
+/// otherwise they start on a Pool of `nworkers` threads in
+/// dispatch_order(cost). Dispatch order is not result order: all jobs run
+/// even when some throw, failures are collected and returned by submission
+/// index in submission order, and results are whatever the jobs wrote into
+/// their own slots — callers give each job exclusive storage and merge in
+/// deterministic order, so the hint changes wall time only.
 ///
 /// When an obs::Registry is installed as the process registry (obs::Session
 /// with --metrics-out), every job is additionally wrapped with host
@@ -68,7 +83,8 @@ struct JobError {
 /// times are nondeterministic; they appear only in the metrics output and
 /// never influence job results.
 std::vector<JobError> run_jobs_collect(
-    std::vector<std::function<void()>>&& jobs, int nworkers);
+    std::vector<std::function<void()>>&& jobs, int nworkers,
+    const JobCosts& cost = {});
 
 /// Observes each failed job of a run_jobs batch, in submission order.
 using JobFailureHandler =
@@ -83,6 +99,7 @@ JobFailureHandler set_job_failure_handler(JobFailureHandler h);
 /// installed JobFailureHandler in submission order; without a handler the
 /// first failure is rethrown (the historical contract — bit-identical
 /// behavior on the happy path and for existing callers).
-void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers);
+void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers,
+              const JobCosts& cost = {});
 
 }  // namespace capmem::exec

@@ -113,7 +113,8 @@ std::string BatchReport::summary() const {
 }
 
 BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
-                             int nworkers, const RecoveryOptions& opts) {
+                             int nworkers, const RecoveryOptions& opts,
+                             const JobCosts& cost) {
   const std::size_t njobs = jobs.size();
   const RetryPolicy& rp = opts.retry;
   CAPMEM_CHECK(rp.max_attempts >= 1);
@@ -132,7 +133,7 @@ BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
       *slot = run_with_retry(job, rp, classify);
     });
   }
-  run_jobs_collect(std::move(wrapped), nworkers);  // wrappers never throw
+  run_jobs_collect(std::move(wrapped), nworkers, cost);  // wrappers never throw
 
   BatchReport rep;
   rep.jobs = njobs;

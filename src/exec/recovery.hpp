@@ -121,12 +121,15 @@ RetryOutcome run_with_retry(const std::function<void()>& job,
                             const RetryPolicy& rp,
                             const FailureClassifier& classify = {});
 
-/// Runs `jobs` (same slot discipline as run_jobs) with retry/quarantine
-/// recovery. Never throws on job failure — inspect the report. With a
-/// process registry attached, adds exec.jobs_ok / exec.jobs_failed /
-/// exec.jobs_timed_out / exec.jobs_quarantined / exec.jobs_retried.
+/// Runs `jobs` (same slot discipline and `cost` start-order hint as
+/// run_jobs) with retry/quarantine recovery. Never throws on job failure —
+/// inspect the report, which lists failures by submission index whatever
+/// order they started in. With a process registry attached, adds
+/// exec.jobs_ok / exec.jobs_failed / exec.jobs_timed_out /
+/// exec.jobs_quarantined / exec.jobs_retried.
 BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
                              int nworkers,
-                             const RecoveryOptions& opts = {});
+                             const RecoveryOptions& opts = {},
+                             const JobCosts& cost = {});
 
 }  // namespace capmem::exec

@@ -1,5 +1,6 @@
 #include "model/params.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <map>
@@ -47,10 +48,27 @@ CapabilityModel CapabilityModel::load(std::istream& is) {
   std::map<std::string, std::string> kv;
   std::string key, value;
   while (is >> key >> value) kv[key] = value;
+  // A value is one whole finite number; anything else names its key.
   auto num = [&kv](const char* k) {
     const auto it = kv.find(k);
     CAPMEM_CHECK_MSG(it != kv.end(), "missing model key '" << k << "'");
-    return std::stod(it->second);
+    const std::string& v = it->second;
+    const char* const last = v.data() + v.size();
+    double x = 0;
+    const std::from_chars_result r = std::from_chars(v.data(), last, x);
+    CAPMEM_CHECK_MSG(r.ec != std::errc::invalid_argument,
+                     "model key '" << k << "': unparsable value '" << v
+                                   << "'");
+    CAPMEM_CHECK_MSG(r.ec != std::errc::result_out_of_range,
+                     "model key '" << k << "': value '" << v
+                                   << "' out of range");
+    CAPMEM_CHECK_MSG(r.ptr == last, "model key '" << k
+                                                  << "': trailing characters"
+                                                  << " in '" << v << "'");
+    CAPMEM_CHECK_MSG(std::isfinite(x),
+                     "model key '" << k << "': non-finite value '" << v
+                                   << "'");
+    return x;
   };
   CapabilityModel m;
   m.machine = kv.count("machine") ? kv["machine"] : "unknown";

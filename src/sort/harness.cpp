@@ -21,13 +21,9 @@ model::SortModel make_sort_model(const sim::MachineConfig& cfg,
 
   // Each fit sort is an isolated simulation; the input data depends only on
   // opts.seed, so fanning them out over host threads changes nothing.
-  const std::vector<SortRun> runs = exec::parallel_map<SortRun>(
-      static_cast<int>(fit_threads.size()), jobs, [&](int i) {
-        SortOptions o = opts;
-        return parallel_merge_sort(cfg, KiB(1),
-                                   fit_threads[static_cast<std::size_t>(i)],
-                                   o);
-      });
+  std::vector<SortCell> cells;
+  for (int n : fit_threads) cells.push_back({KiB(1), n, opts.kind});
+  const std::vector<SortRun> runs = run_sorts(cfg, cells, opts, jobs);
   std::vector<double> measured;
   for (const SortRun& run : runs) {
     CAPMEM_CHECK_MSG(run.sorted_ok && run.checksum_ok,
@@ -41,19 +37,35 @@ model::SortModel make_sort_model(const sim::MachineConfig& cfg,
   return sm;
 }
 
-SortCurves sort_sweep(const sim::MachineConfig& cfg,
-                      const model::SortModel& model, std::uint64_t bytes,
-                      const std::vector<int>& threads,
-                      const SortOptions& opts, int jobs) {
+std::vector<SortRun> run_sorts(const sim::MachineConfig& cfg,
+                               const std::vector<SortCell>& cells,
+                               const SortOptions& opts, int jobs) {
+  // Start hint: the input size, then the thread count. Every key passes
+  // through each merge level, so host time follows the bytes.
+  exec::JobCosts cost;
+  for (const SortCell& c : cells) {
+    cost.push_back(static_cast<double>(c.bytes) * 1024.0 + c.threads);
+  }
+  return exec::parallel_map<SortRun>(
+      static_cast<int>(cells.size()), jobs,
+      [&](int i) {
+        const SortCell& c = cells[static_cast<std::size_t>(i)];
+        CAPMEM_LOG_INFO << "sort: " << c.bytes << " B, " << c.threads
+                        << " threads, " << sim::to_string(c.kind);
+        SortOptions o = opts;
+        o.kind = c.kind;
+        return parallel_merge_sort(cfg, c.bytes, c.threads, o);
+      },
+      cost);
+}
+
+SortCurves sort_curves(const model::SortModel& model, std::uint64_t bytes,
+                       const std::vector<int>& threads,
+                       const std::vector<SortRun>& runs,
+                       const SortOptions& opts) {
+  CAPMEM_CHECK(runs.size() == threads.size());
   SortCurves out;
   out.bytes = bytes;
-  const std::vector<SortRun> runs = exec::parallel_map<SortRun>(
-      static_cast<int>(threads.size()), jobs, [&](int i) {
-        const int n = threads[static_cast<std::size_t>(i)];
-        CAPMEM_LOG_INFO << "sort sweep: " << bytes << " B, " << n
-                        << " threads";
-        return parallel_merge_sort(cfg, bytes, n, opts);
-      });
   for (std::size_t i = 0; i < threads.size(); ++i) {
     const int n = threads[i];
     const SortRun& run = runs[i];

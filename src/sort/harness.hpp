@@ -36,11 +36,28 @@ struct SortCurves {
   bool all_correct = true;
 };
 
-/// Measured-vs-model sweep for one input size. The measured sorts run on
-/// `jobs` host threads (exec layer); model curves are pure functions.
-SortCurves sort_sweep(const sim::MachineConfig& cfg,
-                      const model::SortModel& model, std::uint64_t bytes,
-                      const std::vector<int>& threads,
-                      const SortOptions& opts = {}, int jobs = 1);
+/// One measured sort: `bytes` of keys on `threads` threads with buffers in
+/// `kind` memory; the rest of the SortOptions is shared by its batch.
+struct SortCell {
+  std::uint64_t bytes = 0;
+  int threads = 1;
+  sim::MemKind kind = sim::MemKind::kDDR;
+};
+
+/// Runs every cell as one batch on `jobs` host threads (exec layer), the
+/// biggest inputs first. Results come back in cell order and are
+/// bit-identical for any jobs value: each sort is a pure function of its
+/// cell and `opts`.
+std::vector<SortRun> run_sorts(const sim::MachineConfig& cfg,
+                               const std::vector<SortCell>& cells,
+                               const SortOptions& opts = {}, int jobs = 1);
+
+/// Measured-vs-model curves for one input size: runs[i] sorted `bytes` on
+/// threads[i] threads with opts.kind buffers. The model curves are pure
+/// functions of the model.
+SortCurves sort_curves(const model::SortModel& model, std::uint64_t bytes,
+                       const std::vector<int>& threads,
+                       const std::vector<SortRun>& runs,
+                       const SortOptions& opts = {});
 
 }  // namespace capmem::sort

@@ -172,7 +172,8 @@ TEST(StreamBench, ThreadSweepIsMonotoneUntilSaturation) {
   sc.run.iters = 3;
   sc.buffer_bytes = KiB(128);
   sc.kind = MemKind::kDDR;
-  const Series s = stream_thread_sweep(cfg, StreamOp::kRead, sc, {1, 4, 16});
+  const Series s =
+      stream_thread_sweep(cfg, StreamOp::kRead, {sc}, {1, 4, 16}).at(0);
   EXPECT_LT(s.ys[0].median, s.ys[1].median);
   EXPECT_LT(s.ys[1].median, s.ys[2].median * 1.05);
 }

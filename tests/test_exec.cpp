@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench/suite.hpp"
@@ -297,6 +299,131 @@ TEST(ParallelMap, PreservesIndexOrder) {
   }
 }
 
+// --- Cost-hinted dispatch ----------------------------------------------------
+
+TEST(DispatchOrder, IsAStableDescendingSort) {
+  EXPECT_EQ(dispatch_order({}, 4),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  // Descending cost; the three ties at 3 and the two at 0 keep submission
+  // order.
+  EXPECT_EQ(dispatch_order({1, 3, 3, 0, 2, 3, 0}, 7),
+            (std::vector<std::size_t>{1, 2, 5, 4, 0, 3, 6}));
+  EXPECT_EQ(dispatch_order({5, 5, 5}, 3),
+            (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_THROW(dispatch_order({1, 2}, 3), CheckError);
+  EXPECT_THROW(dispatch_order({1, std::nan(""), 2}, 3), CheckError);
+  // A malformed hint fails on the serial path too, before any job runs.
+  int ran = 0;
+  std::vector<std::function<void()>> jobs(3, [&ran] { ++ran; });
+  EXPECT_THROW(run_jobs(std::move(jobs), 1, {1, 2}), CheckError);
+  EXPECT_EQ(ran, 0);
+}
+
+// Costs that reverse most of a batch, with ties.
+JobCosts reversing_costs(int n) {
+  JobCosts cost;
+  for (int i = 0; i < n; ++i) cost.push_back(static_cast<double>(i / 3));
+  return cost;
+}
+
+TEST(HintedBatch, SlotsMatchAtEveryWorkerCountAndTheUnhintedBatch) {
+  constexpr int kN = 41;
+  const auto fn = [](int i) {
+    std::uint64_t h = derive_seed(7, static_cast<std::uint64_t>(i), 0);
+    for (int k = 0; k < 200 * (i % 5); ++k) h = derive_seed(h, 1, 1);
+    return h;
+  };
+  const auto unhinted = parallel_map<std::uint64_t>(kN, 1, fn);
+  for (int workers : {1, 2, 4}) {
+    EXPECT_EQ(parallel_map<std::uint64_t>(kN, workers, fn,
+                                          reversing_costs(kN)),
+              unhinted)
+        << workers << " workers";
+  }
+
+  Experiment<int, std::vector<std::uint64_t>> e;
+  e.configs = {4, 1, 3, 3, 0, 2};
+  e.trials = 3;
+  e.base_seed = 9;
+  e.program = [](int cfg, const Trial& t) {
+    return std::vector<std::uint64_t>{t.seed, static_cast<std::uint64_t>(cfg)};
+  };
+  e.reduce = [](int /*cfg*/, std::vector<std::vector<std::uint64_t>>&& rs) {
+    std::vector<std::uint64_t> flat;
+    for (auto& r : rs) flat.insert(flat.end(), r.begin(), r.end());
+    return flat;
+  };
+  const auto plain = run_experiment(e, 1);
+  e.cost = [](int cfg) { return static_cast<double>(cfg); };
+  for (int workers : {1, 2, 4}) {
+    EXPECT_EQ(run_experiment(e, workers), plain) << workers << " workers";
+  }
+}
+
+TEST(HintedBatch, FailuresKeepTheirSubmissionIndex) {
+  // Job 6 throws and the hint starts it first; job 1 throws and starts
+  // last. Every failure path still reports them as jobs 1 and 6, in that
+  // order.
+  constexpr int kN = 8;
+  JobCosts cost(kN, 1.0);
+  cost[1] = 0;
+  cost[6] = 100;
+  const auto make_jobs = [] {
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < kN; ++i) {
+      jobs.push_back([i] {
+        if (i == 1 || i == 6) {
+          throw std::logic_error("cell " + std::to_string(i));
+        }
+      });
+    }
+    return jobs;
+  };
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    std::vector<std::size_t> seen;
+    std::vector<std::string> what;
+    auto previous = set_job_failure_handler(
+        [&](std::size_t job, std::exception_ptr ep) {
+          seen.push_back(job);
+          try {
+            std::rethrow_exception(ep);
+          } catch (const std::exception& ex) {
+            what.push_back(ex.what());
+          }
+        });
+    run_jobs(make_jobs(), workers, cost);
+    set_job_failure_handler(std::move(previous));
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 6}));
+    EXPECT_EQ(what, (std::vector<std::string>{"cell 1", "cell 6"}));
+
+    RecoveryOptions opts;
+    opts.retry.sleep = false;
+    const BatchReport rep =
+        run_jobs_recover(make_jobs(), workers, opts, cost);
+    ASSERT_EQ(rep.failures.size(), 2u);
+    EXPECT_EQ(rep.failures[0].job, 1u);
+    EXPECT_EQ(rep.failures[0].error, "cell 1");
+    EXPECT_EQ(rep.failures[1].job, 6u);
+    EXPECT_EQ(rep.failures[1].error, "cell 6");
+
+    const auto [slots, map_rep] = try_parallel_map<int>(
+        kN, workers,
+        [](int i) {
+          if (i == 1 || i == 6) {
+            throw std::logic_error("cell " + std::to_string(i));
+          }
+          return i + 100;
+        },
+        opts, cost);
+    EXPECT_EQ(map_rep.summary(), rep.summary());
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(slots[static_cast<std::size_t>(i)],
+                i == 1 || i == 6 ? 0 : i + 100);
+    }
+  }
+}
+
 // --- Suite bit-identity across worker counts -----------------------------
 
 void expect_same(const Summary& a, const Summary& b, const char* what) {
@@ -399,6 +526,24 @@ TEST(Suite, BitIdenticalWithObservabilityAttached) {
   // And observation did actually happen.
   EXPECT_GT(reg.counter("sim.machines"), 0.0);
   EXPECT_GT(reg.counter("exec.jobs"), 0.0);
+}
+
+TEST(Suite, OneBatchOfSuitesMatchesOneSuiteAtATime) {
+  bench::SuiteOptions o;
+  o.run.iters = 9;
+  o.streams = false;
+  o.remote_samples = 2;
+  o.contention_ns = {1, 2, 4};
+  const std::vector<sim::MachineConfig> cfgs{
+      sim::knl7210(sim::ClusterMode::kSNC4),
+      sim::knl7210(sim::ClusterMode::kQuadrant)};
+  o.jobs = 4;
+  const std::vector<bench::SuiteResults> batched = bench::run_suites(cfgs, o);
+  ASSERT_EQ(batched.size(), cfgs.size());
+  o.jobs = 1;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    expect_same_suite(batched[i], bench::run_suite(cfgs[i], o));
+  }
 }
 
 TEST(CollSweep, MatchesSerialRuns) {

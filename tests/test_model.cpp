@@ -62,6 +62,45 @@ TEST(Params, LoadRejectsMissingKeys) {
   EXPECT_THROW(CapabilityModel::load(ss), CheckError);
 }
 
+// Loads the save() text of a named default model with `key`'s value replaced
+// and expects a CheckError that names the key and says `why`.
+void expect_load_error(const std::string& key, const std::string& value,
+                       const std::string& why) {
+  CapabilityModel m;
+  m.machine = "knl7210";
+  std::stringstream saved;
+  m.save(saved);
+  std::stringstream ss;
+  for (std::string line; std::getline(saved, line);) {
+    ss << (line.rfind(key + ' ', 0) == 0 ? key + ' ' + value : line) << '\n';
+  }
+  try {
+    CapabilityModel::load(ss);
+    ADD_FAILURE() << key << ' ' << value << " loaded";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+}
+
+TEST(Params, LoadRejectsUnparsableValues) {
+  expect_load_error("r_remote", "abc", "unparsable");
+  expect_load_error("lat_dram", "-", "unparsable");
+  expect_load_error("bw_dram_agg", "1e999", "out of range");
+}
+
+TEST(Params, LoadRejectsTrailingCharacters) {
+  expect_load_error("r_remote", "1.5xyz", "trailing characters");
+  expect_load_error("contention_beta", "2.0.1", "trailing characters");
+}
+
+TEST(Params, LoadRejectsNonFiniteValues) {
+  expect_load_error("r_remote", "nan", "non-finite");
+  expect_load_error("multiline_r2", "inf", "non-finite");
+  expect_load_error("c2c_copy_gbps", "-inf", "non-finite");
+}
+
 TEST(Params, ContentionClampedBelowByRemote) {
   CapabilityModel m;
   m.r_remote = 100;
