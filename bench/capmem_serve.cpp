@@ -18,8 +18,9 @@
 //     exit 0.
 //
 // --bench N answers N generated mixed requests twice — cold cache, then
-// warm — verifies the two reply streams are byte-identical, and emits a
-// capmem.serve_bench.v1 JSON document (scripts/bench_json.py embeds it).
+// warm — verifies the two reply streams are byte-identical, and prints a
+// one-line capmem.serve_bench.v1 JSON document (cold and warm requests/s)
+// to stdout.
 
 #include <poll.h>
 #include <signal.h>
@@ -36,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
 #include "obs/session.hpp"
 #include "serve/daemon.hpp"
@@ -115,8 +115,7 @@ PassResult run_pass(const capmem::serve::ServerOptions& so,
   return out;
 }
 
-int run_bench(const capmem::serve::ServerOptions& base, int n,
-              const std::string& json_out) {
+int run_bench(const capmem::serve::ServerOptions& base, int n) {
   using capmem::serve::Json;
   capmem::serve::ServerOptions so = base;
   // A fresh subtree so the "cold" pass is actually cold; shedding off so
@@ -143,11 +142,7 @@ int run_bench(const capmem::serve::ServerOptions& base, int n,
   doc.set("warm_cache_hits",
           static_cast<std::uint64_t>(warm.counters.cache_hit));
   doc.set("identical", identical);
-  const std::string text = doc.dump();
-  if (!json_out.empty()) {
-    capmem::common::atomic_write_file(json_out, text + "\n");
-  }
-  std::cout << text << "\n";
+  std::cout << doc.dump() << "\n";
   if (!identical) {
     std::fprintf(stderr,
                  "capmem_serve: FAIL — warm-cache replies differ from cold "
@@ -234,11 +229,9 @@ int main(int argc, char** argv) {
         "replies", "", "write replies to this file instead of stdout");
     const int bench_n = static_cast<int>(cli.get_int(
         "bench", 0, "bench mode: answer N generated requests cold vs warm"));
-    const std::string json_out =
-        cli.get_string("json-out", "", "bench-mode JSON output path");
     cli.finish();
 
-    if (bench_n > 0) return run_bench(so, bench_n, json_out);
+    if (bench_n > 0) return run_bench(so, bench_n);
 
     install_signals();
     std::ofstream fout;

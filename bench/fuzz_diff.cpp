@@ -23,7 +23,7 @@
 // --warm-snapshot pauses every schedule at a seed-derived engine step,
 // round-trips a capmem::snap snapshot (capture -> encode -> decode ->
 // digest-verify), then resumes; stdout is byte-identical either way (the
-// identity-smoke CI job asserts the md5). Checkpoint lines then carry the
+// CI tier-1 identity table asserts the md5). Checkpoint lines then carry the
 // cell's snapshot id as a fifth field — the same snap::snapshot_id scheme
 // the repro files embed.
 //

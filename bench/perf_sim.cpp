@@ -14,19 +14,19 @@
 //   mixed    per-thread random single-line loads/stores plus occasional
 //            fetch_add on a shared buffer — directory/line-table heavy.
 //
-// CHECKSUM lines carry the deterministic part of each cell; scripts in CI
-// compare them across engine rewrites (`scripts/bench_json.py --expect`).
+// CHECKSUM lines carry the deterministic part of each cell. The ctest
+// goldens golden_perf_sim_quick, golden_perf_sim and
+// golden_perf_sim_quick_{mesi,mosi} compare exactly those lines against
+// tests/golden/perf_sim*.txt, so a simulated-timing change fails tier-1.
 //
 // --warm-snapshot appends a warm-start sweep: one machine executes a warm
 // prefix (the mixed workload), its quiescent state is captured once with
 // capmem::snap, and --forks measurement cells are forked from it — vs a
 // cold baseline that re-executes the prefix per cell. Both paths go
 // through snap::fork, so their virtual-time results are CHECK-identical;
-// only wall clock differs, and the speedup N*(W+M) / (W+N*M) is recorded
-// in the JSON dump's "warm_start" section (BENCH_PR8.json).
+// only wall clock differs, and the speedup N*(W+M) / (W+N*M) is printed
+// on the "warm-start" lines.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,7 +52,6 @@ struct CellSpec {
 };
 
 struct CellResult {
-  CellSpec spec;
   std::uint64_t steps = 0;
   Nanos virt_ns = 0;
   double best_wall_s = 0;
@@ -152,7 +151,6 @@ void build_mixed(Machine& m, int nthreads, int ops, std::uint64_t seed,
 CellResult run_cell(const CellSpec& spec, const Sizes& sz, int reps,
                     std::uint64_t seed, Protocol protocol) {
   CellResult r;
-  r.spec = spec;
   for (int rep = 0; rep < reps; ++rep) {
     MachineConfig cfg = knl7210(spec.mode, MemoryMode::kFlat);
     cfg.protocol = protocol;
@@ -256,46 +254,6 @@ WarmStart run_warm_start(const Sizes& sz, int forks, std::uint64_t seed,
   return w;
 }
 
-void write_json(const std::string& path, const std::vector<CellResult>& rs,
-                bool quick, int reps, const Sizes& sz,
-                const WarmStart* warm) {
-  std::ofstream out(path);
-  CAPMEM_CHECK_MSG(out.good(), "cannot open " << path);
-  char buf[64];
-  out << "{\n  \"schema\": \"capmem.perf_sim.v1\",\n";
-  out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  out << "  \"reps\": " << reps << ",\n";
-  out << "  \"barrier_threads\": " << sz.barrier_threads << ",\n";
-  out << "  \"peak_rss_bytes\": " << exec::host_peak_rss_bytes() << ",\n";
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    const CellResult& r = rs[i];
-    const double evs = r.best_wall_s > 0
-                           ? static_cast<double>(r.steps) / r.best_wall_s
-                           : 0.0;
-    std::snprintf(buf, sizeof buf, "%.17g", r.virt_ns);
-    out << "    {\"workload\": \"" << r.spec.workload << "\", \"mode\": \""
-        << to_string(r.spec.mode) << "\", \"threads\": " << r.spec.threads
-        << ", \"steps\": " << r.steps << ", \"virt_ns\": " << buf
-        << ", \"best_wall_s\": " << r.best_wall_s
-        << ", \"events_per_sec\": " << evs << "}"
-        << (i + 1 < rs.size() ? "," : "") << "\n";
-  }
-  out << "  ]";
-  if (warm != nullptr) {
-    out << ",\n  \"warm_start\": {\n"
-        << "    \"forks\": " << warm->forks << ",\n"
-        << "    \"snapshot_id\": \"" << warm->snapshot_id << "\",\n"
-        << "    \"snapshot_bytes\": " << warm->snapshot_bytes << ",\n"
-        << "    \"prefix_steps\": " << warm->prefix_steps << ",\n"
-        << "    \"measure_steps\": " << warm->measure_steps << ",\n"
-        << "    \"cold_wall_s\": " << warm->cold_wall_s << ",\n"
-        << "    \"warm_wall_s\": " << warm->warm_wall_s << ",\n"
-        << "    \"speedup\": " << warm->speedup << "\n  }";
-  }
-  out << "\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,7 +262,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps", quick ? 2 : 3));
   const std::string only_workload = cli.get_string("workload", "all");
   const std::string only_mode = cli.get_string("mode", "all");
-  const std::string json_out = cli.get_string("json-out", "");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 4242));
   const Protocol protocol = parse_protocol(cli.get_string(
@@ -335,7 +292,6 @@ int main(int argc, char** argv) {
   std::printf("perf_sim (%s, reps=%d)\n", quick ? "quick" : "full", reps);
   std::printf("%-8s %-5s %8s %12s %16s %12s %10s\n", "workload", "mode",
               "threads", "steps", "virt_ns", "events/sec", "ns/event");
-  std::vector<CellResult> results;
   for (const CellSpec& spec : cells) {
     const CellResult r = run_cell(spec, sz, reps, seed, protocol);
     const double evs = r.best_wall_s > 0
@@ -353,11 +309,9 @@ int main(int argc, char** argv) {
     std::printf("CHECKSUM %s %s steps=%llu virt_ns=%.17g\n",
                 spec.workload.c_str(), to_string(spec.mode),
                 static_cast<unsigned long long>(r.steps), r.virt_ns);
-    results.push_back(r);
   }
-  WarmStart warm;
   if (warm_snapshot) {
-    warm = run_warm_start(sz, forks, seed, protocol);
+    const WarmStart warm = run_warm_start(sz, forks, seed, protocol);
     std::printf("warm-start forks=%d snapshot=%s (%llu bytes) "
                 "prefix_steps=%llu measure_steps=%llu\n",
                 warm.forks, warm.snapshot_id.c_str(),
@@ -369,9 +323,5 @@ int main(int argc, char** argv) {
   }
   std::printf("peak_rss_bytes=%llu\n",
               static_cast<unsigned long long>(exec::host_peak_rss_bytes()));
-  if (!json_out.empty()) {
-    write_json(json_out, results, quick, reps, sz,
-               warm_snapshot ? &warm : nullptr);
-  }
   return 0;
 }

@@ -38,7 +38,7 @@ struct DiffOptions {
   /// machine state, encode -> decode -> digest-verify the snapshot, then
   /// resume. 0 = uninterrupted. Transparency is the contract: the outcome
   /// (violations, report, final memory, elapsed) is byte-identical with
-  /// the pause on or off, which the identity-smoke CI job asserts.
+  /// the pause on or off, which the CI tier-1 identity table asserts.
   std::uint64_t snapshot_at_step = 0;
 };
 

@@ -19,6 +19,10 @@ double us_since(Clock::time_point t0) {
       .count();
 }
 
+// When this thread's last profiled job ended, on a pool worker or on the
+// inline (nworkers <= 1) caller; exec.job_queue_wait_us counts from there.
+thread_local Clock::time_point t_last_job_end;
+
 // The unobserved dispatch path. Every job runs (a throw never skips later
 // jobs' slots); failures come back by submission index, already ordered.
 std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
@@ -65,10 +69,16 @@ std::vector<JobError> run_jobs_profiled(
   for (auto& j : jobs) {
     wrapped.push_back(
         [job = std::move(j), batch_start, &reg] {
-          // Time from batch submission to job start: queueing behind other
-          // batches' work plus earlier jobs on this worker slot.
-          const double queue_us = us_since(batch_start);
+          // Time this job waited for a free thread: from when its thread
+          // became free (its previous job of this batch ended, or the
+          // batch started) to now. Earlier jobs on the same thread are not
+          // waiting time.
+          const double queue_us =
+              us_since(std::max(t_last_job_end, batch_start));
           const Clock::time_point t0 = Clock::now();
+          struct MarkEnd {
+            ~MarkEnd() { t_last_job_end = Clock::now(); }
+          } mark_end;  // also when the job throws
           job();
           reg.record("exec.job_wall_us", us_since(t0));
           reg.record("exec.job_queue_wait_us", queue_us);

@@ -79,9 +79,11 @@ std::vector<std::size_t> dispatch_order(const JobCosts& cost,
 /// When an obs::Registry is installed as the process registry (obs::Session
 /// with --metrics-out), every job is additionally wrapped with host
 /// wall-time profiling: exec.job_wall_us / exec.job_queue_wait_us /
-/// exec.batch_wall_us histograms and an exec.worker_util estimate. Host
-/// times are nondeterministic; they appear only in the metrics output and
-/// never influence job results.
+/// exec.batch_wall_us histograms and an exec.worker_util estimate. A job's
+/// queue wait runs from when its thread became free (its previous job of
+/// the batch ended, or the batch started) to the job's start. Host times
+/// are nondeterministic; they appear only in the metrics output and never
+/// influence job results.
 std::vector<JobError> run_jobs_collect(
     std::vector<std::function<void()>>&& jobs, int nworkers,
     const JobCosts& cost = {});

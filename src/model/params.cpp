@@ -17,6 +17,9 @@ double CapabilityModel::t_contention(int n) const {
 }
 
 void CapabilityModel::save(std::ostream& os) const {
+  // One "key value" pair per line; load() takes the value to the line end.
+  CAPMEM_CHECK_MSG(machine.find('\n') == std::string::npos,
+                   "model machine name contains a newline");
   os.precision(17);  // lossless double round-trip
   os << "machine " << machine << '\n';
   os << "cluster " << sim::to_string(cluster) << '\n';
@@ -45,14 +48,22 @@ void CapabilityModel::save(std::ostream& os) const {
 }
 
 CapabilityModel CapabilityModel::load(std::istream& is) {
+  // One pair per line: the key up to the first space, the value the rest of
+  // the line (a machine name may be empty or contain spaces).
   std::map<std::string, std::string> kv;
-  std::string key, value;
-  while (is >> key >> value) kv[key] = value;
-  // A value is one whole finite number; anything else names its key.
-  auto num = [&kv](const char* k) {
+  for (std::string line; std::getline(is, line);) {
+    const std::size_t sp = line.find(' ');
+    kv[line.substr(0, sp)] =
+        sp == std::string::npos ? std::string() : line.substr(sp + 1);
+  }
+  auto value = [&kv](const char* k) -> const std::string& {
     const auto it = kv.find(k);
     CAPMEM_CHECK_MSG(it != kv.end(), "missing model key '" << k << "'");
-    const std::string& v = it->second;
+    return it->second;
+  };
+  // A value is one whole finite number; anything else names its key.
+  auto num = [&value](const char* k) {
+    const std::string& v = value(k);
     const char* const last = v.data() + v.size();
     double x = 0;
     const std::from_chars_result r = std::from_chars(v.data(), last, x);
@@ -72,9 +83,8 @@ CapabilityModel CapabilityModel::load(std::istream& is) {
   };
   CapabilityModel m;
   m.machine = kv.count("machine") ? kv["machine"] : "unknown";
-  CAPMEM_CHECK(kv.count("cluster") && kv.count("memory"));
-  m.cluster = sim::cluster_mode_from_string(kv["cluster"]);
-  m.memory = sim::memory_mode_from_string(kv["memory"]);
+  m.cluster = sim::cluster_mode_from_string(value("cluster"));
+  m.memory = sim::memory_mode_from_string(value("memory"));
   m.r_local = num("r_local");
   m.r_l2 = num("r_l2");
   m.r_tile = num("r_tile");

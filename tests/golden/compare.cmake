@@ -3,6 +3,10 @@
 #
 #   cmake -DBENCH=<exe> -DARGS="--iters;5" -DEXPECTED=<file> -P compare.cmake
 #
+# KEEP, when given, is a line regex: only the stdout lines it matches are
+# compared (perf_sim's "^CHECKSUM " lines; the rest of its stdout is host
+# wall time). A KEEP that matches no line fails the test.
+#
 # Observer outputs are checked too when given: ATTR_OUT (the --attr-out file
 # ARGS names) must equal ATTR_EXPECTED byte for byte, and TRACE_OUT (the
 # --trace-out file) must hash to TRACE_MD5 — traces are too large to check
@@ -13,6 +17,7 @@
 # changes — both of which deserve a deliberate refresh:
 #
 #   <exe> <args> > tests/golden/<name>.txt
+#   <exe> <args> | grep '<KEEP>' > tests/golden/<name>.txt    # with KEEP
 #
 # and, for golden_observers (stdout shares golden/fig6_barrier.txt; the
 # trace and attribution report are deterministic at --jobs 1 only):
@@ -38,6 +43,20 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${rc}:\n${bench_err}")
 endif()
+set(refresh "${BENCH} ${ARGS} > ${EXPECTED}")
+if(DEFINED KEEP)
+  set(refresh "${BENCH} ${ARGS} | grep '${KEEP}' > ${EXPECTED}")
+  string(REGEX MATCHALL "[^\n]*\n" out_lines "${actual}")
+  set(actual "")
+  foreach(line IN LISTS out_lines)
+    if(line MATCHES "${KEEP}")
+      string(APPEND actual "${line}")
+    endif()
+  endforeach()
+  if(actual STREQUAL "")
+    message(FATAL_ERROR "KEEP '${KEEP}' matched no line of ${BENCH}'s stdout")
+  endif()
+endif()
 file(READ "${EXPECTED}" expected)
 if(NOT actual STREQUAL expected)
   file(WRITE "${EXPECTED}.actual" "${actual}")
@@ -45,7 +64,7 @@ if(NOT actual STREQUAL expected)
     "stdout diverged from ${EXPECTED}\n"
     "actual output written to ${EXPECTED}.actual\n"
     "if the change is intentional, refresh the golden file:\n"
-    "  ${BENCH} ${ARGS} > ${EXPECTED}")
+    "  ${refresh}")
 endif()
 if(DEFINED ATTR_OUT)
   execute_process(

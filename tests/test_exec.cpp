@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/suite.hpp"
@@ -317,6 +319,25 @@ TEST(DispatchOrder, IsAStableDescendingSort) {
   std::vector<std::function<void()>> jobs(3, [&ran] { ++ran; });
   EXPECT_THROW(run_jobs(std::move(jobs), 1, {1, 2}), CheckError);
   EXPECT_EQ(ran, 0);
+}
+
+// --- Host profile -------------------------------------------------------------
+
+TEST(Profile, InlineJobsDoNotWaitBehindEachOther) {
+  // exec.job_queue_wait_us runs from when the job's thread became free, so
+  // the 20th of 20 inline 5 ms jobs waited ~0, not ~95 ms of its
+  // predecessors' run time.
+  obs::Registry reg;
+  obs::set_process_registry(&reg);
+  std::vector<std::function<void()>> jobs(20, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  run_jobs(std::move(jobs), 1);
+  obs::set_process_registry(nullptr);
+  const obs::Log2Hist wait = reg.hist("exec.job_queue_wait_us");
+  EXPECT_EQ(wait.count, 20u);
+  EXPECT_LT(wait.max, 5000.0);
+  EXPECT_GE(reg.hist("exec.job_wall_us").min, 5000.0);
 }
 
 // Costs that reverse most of a batch, with ties.

@@ -56,10 +56,43 @@ TEST(Params, SaveLoadRoundTrip) {
   EXPECT_TRUE(back == m);
 }
 
-TEST(Params, LoadRejectsMissingKeys) {
+TEST(Params, SaveLoadRoundTripsEmptyAndSpacedMachineNames) {
+  for (const std::string name : {"", "knl 38t", " padded  name "}) {
+    CapabilityModel m;
+    m.machine = name;
+    m.r_remote = 123.5;
+    std::stringstream ss;
+    m.save(ss);
+    const CapabilityModel back = CapabilityModel::load(ss);
+    EXPECT_EQ(back.machine, name);
+    EXPECT_TRUE(back == m) << '"' << name << '"';
+  }
+}
+
+TEST(Params, SaveRejectsMachineNameWithNewline) {
+  CapabilityModel m;
+  m.machine = "knl\nr_local 1";
   std::stringstream ss;
-  ss << "cluster QUAD\nmemory flat\nr_local 3.8\n";
-  EXPECT_THROW(CapabilityModel::load(ss), CheckError);
+  EXPECT_THROW(m.save(ss), CheckError);
+}
+
+// The error names the first missing key, the modes included.
+void expect_missing_key(const std::string& text, const std::string& key) {
+  std::stringstream ss(text);
+  try {
+    CapabilityModel::load(ss);
+    ADD_FAILURE() << "loaded without '" << key << "'";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("missing model key '" + key + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Params, LoadRejectsMissingKeys) {
+  expect_missing_key("cluster QUAD\nmemory flat\nr_local 3.8\n", "r_l2");
+  expect_missing_key("machine knl\nmemory flat\nr_local 3.8\n", "cluster");
+  expect_missing_key("machine knl\ncluster QUAD\nr_local 3.8\n", "memory");
 }
 
 // Loads the save() text of a named default model with `key`'s value replaced
