@@ -26,15 +26,14 @@ DiffOutcome run_diff(const WorkloadSpec& spec, obs::TraceSink* trace,
   WorkloadRun run(spec, &checker, trace, attr);
   if (opts.snapshot_at_step != 0 && !run.run_until(opts.snapshot_at_step)) {
     // Paused mid-schedule: exercise the full snapshot path — capture,
-    // encode, decode, digest-verify — then resume. Transparent by
-    // construction: capture only reads, and the resume continues the exact
-    // event queue the pause interrupted.
-    const sim::state::MachineState s = snap::capture(run.machine());
+    // encode, decode, digest-verify against the live machine — then
+    // resume. Transparent by construction: capture and digest only read,
+    // and the resume continues the exact event queue the pause interrupted.
     const std::vector<std::uint8_t> bytes =
-        snap::encode(s, run.machine().config());
+        snap::encode(snap::capture(run.machine()), run.machine().config());
     const sim::state::MachineState back =
         snap::decode(bytes, run.machine().config());
-    CAPMEM_CHECK_MSG(snap::digest(back) == snap::digest(s),
+    CAPMEM_CHECK_MSG(snap::digest(back) == snap::digest(run.machine()),
                      "snapshot round-trip changed the machine state digest");
     out.snapshot_id = snap::snapshot_id(bytes);
   }
@@ -164,10 +163,9 @@ DivergencePoint locate_divergence(const WorkloadSpec& failing) {
   Checker checker(workload_config(failing));
   WorkloadRun run(failing, &checker);
   if (hi >= 2) run.run_until(hi - 1);
-  const sim::state::MachineState s = snap::capture(run.machine());
-  out.last_good_digest = snap::digest(s);
-  out.last_good_snapshot =
-      snap::snapshot_id(snap::encode(s, run.machine().config()));
+  out.last_good_digest = snap::digest(run.machine());
+  out.last_good_snapshot = snap::snapshot_id(
+      snap::encode(snap::capture(run.machine()), run.machine().config()));
   return out;
 }
 

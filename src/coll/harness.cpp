@@ -22,12 +22,13 @@ namespace {
 void run_machine(Machine& machine, const HarnessOptions& opts) {
   if (opts.snapshot_at_step != 0 &&
       !machine.run_until(opts.snapshot_at_step)) {
-    const sim::state::MachineState s = snap::capture(machine);
+    // Against the live machine's digest, so a capture that dropped or
+    // misread a field trips it as well as a lossy encode/decode.
     const std::vector<std::uint8_t> bytes =
-        snap::encode(s, machine.config());
+        snap::encode(snap::capture(machine), machine.config());
     CAPMEM_CHECK_MSG(
         snap::digest(snap::decode(bytes, machine.config())) ==
-            snap::digest(s),
+            snap::digest(machine),
         "mid-collective snapshot round-trip changed the state digest");
   }
   machine.run_until(0);

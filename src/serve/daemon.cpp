@@ -273,7 +273,7 @@ std::string Server::simulate_result(const Request& req,
   const std::uint64_t steps = run.steps();
   std::uint64_t digest = 0;
   if (!run.errored()) {
-    digest = snap::digest(snap::capture(run.machine()));
+    digest = snap::digest(run.machine());
   }
   check::WorkloadResult res = run.take_result();
   if (!res.ran) {
@@ -349,9 +349,15 @@ bool Server::model_warm(const Request& req) const {
 
 const model::CapabilityModel& Server::model_for(const Request& req) {
   const std::string memo = model_memo_key(req);
-  std::lock_guard<std::mutex> lock(model_mu_);  // one fit at a time
-  auto it = models_.find(memo);
-  if (it != models_.end()) return it->second;
+  const auto fitted = [&]() -> const model::CapabilityModel* {
+    std::lock_guard<std::mutex> lock(model_mu_);
+    const auto it = models_.find(memo);
+    return it != models_.end() ? &it->second : nullptr;
+  };
+  if (const model::CapabilityModel* m = fitted()) return *m;
+  std::lock_guard<std::mutex> fit_lock(fit_mu_);  // one fit at a time
+  // Another worker may have fitted it while this one waited.
+  if (const model::CapabilityModel* m = fitted()) return *m;
 
   const std::uint64_t mkey = model_cache_key(req);
   model::CapabilityModel m;
@@ -373,7 +379,9 @@ const model::CapabilityModel& Server::model_for(const Request& req) {
     bench::SuiteOptions so;
     so.fast = true;
     so.streams = false;
-    so.jobs = 1;
+    // Fits are serialized, so one may use the whole worker budget; cells
+    // keep their submission slots, so the model is the same at any count.
+    so.jobs = pool_.size();
     m = model::fit_cache_model(cfg, so);
     std::ostringstream os;
     m.save(os);
@@ -384,6 +392,7 @@ const model::CapabilityModel& Server::model_for(const Request& req) {
                    e.what());
     }
   }
+  std::lock_guard<std::mutex> lock(model_mu_);
   return models_.emplace(memo, std::move(m)).first->second;
 }
 

@@ -165,8 +165,15 @@ class Server {
   ServeCounters counters_;
   std::uint64_t seq_ = 0;       ///< request sequence number (chaos input)
   int inflight_ = 0;            ///< admitted expensive requests
+  /// Fitted models by memo key. Entries are never erased, so a reference
+  /// handed out stays valid after model_mu_ is released.
   std::map<std::string, model::CapabilityModel> models_;
-  mutable std::mutex model_mu_;  ///< serializes model fits
+  /// Guards models_ only, never across a fit: submit() consults it inline
+  /// (model_warm) and must not wait behind a fit.
+  mutable std::mutex model_mu_;
+  std::mutex fit_mu_;  ///< serializes model fits (each uses every worker)
+
+  friend struct ServerTestPeer;  ///< tests hold fit_mu_ to pin a fit open
 };
 
 }  // namespace capmem::serve

@@ -11,8 +11,8 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes, int ways)
   nsets_ = capacity_bytes / per_way;
   CAPMEM_CHECK(nsets_ > 0);
   if ((nsets_ & (nsets_ - 1)) == 0) mask_ = nsets_ - 1;
-  lines_.resize(nsets_ * static_cast<std::uint64_t>(ways));
-  stamps_.resize(nsets_ * static_cast<std::uint64_t>(ways));
+  st_.lines.resize(nsets_ * static_cast<std::uint64_t>(ways));
+  st_.stamps.resize(nsets_ * static_cast<std::uint64_t>(ways));
 }
 
 }  // namespace capmem::sim

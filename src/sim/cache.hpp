@@ -38,8 +38,8 @@ class SetAssocCache {
   bool lookup(Line line) {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (lines_[base + w] == line && stamps_[base + w] != 0) {
-        stamps_[base + w] = ++clock_;
+      if (st_.lines[base + w] == line && st_.stamps[base + w] != 0) {
+        st_.stamps[base + w] = ++st_.clock;
         return true;
       }
     }
@@ -50,7 +50,7 @@ class SetAssocCache {
   bool contains(Line line) const {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (lines_[base + w] == line && stamps_[base + w] != 0) return true;
+      if (st_.lines[base + w] == line && st_.stamps[base + w] != 0) return true;
     }
     return false;
   }
@@ -64,21 +64,21 @@ class SetAssocCache {
     std::size_t way = base;
     bool full = true;
     for (int w = 0; w < ways_; ++w) {
-      if (stamps_[base + w] == 0) {
+      if (st_.stamps[base + w] == 0) {
         way = base + w;
         full = false;
         break;
       }
-      if (stamps_[base + w] < stamps_[way]) way = base + w;
+      if (st_.stamps[base + w] < st_.stamps[way]) way = base + w;
     }
     std::optional<Line> evicted;
     if (full) {
-      evicted = lines_[way];
+      evicted = st_.lines[way];
     } else {
-      ++resident_;
+      ++st_.resident;
     }
-    lines_[way] = line;
-    stamps_[way] = ++clock_;
+    st_.lines[way] = line;
+    st_.stamps[way] = ++st_.clock;
     return evicted;
   }
 
@@ -86,10 +86,10 @@ class SetAssocCache {
   bool erase(Line line) {
     const std::size_t base = set_base(line);
     for (int w = 0; w < ways_; ++w) {
-      if (lines_[base + w] == line && stamps_[base + w] != 0) {
-        stamps_[base + w] = 0;
-        lines_[base + w] = 0;
-        --resident_;
+      if (st_.lines[base + w] == line && st_.stamps[base + w] != 0) {
+        st_.stamps[base + w] = 0;
+        st_.lines[base + w] = 0;
+        --st_.resident;
         return true;
       }
     }
@@ -98,45 +98,36 @@ class SetAssocCache {
 
   /// Drops everything (used by flush-style benchmark resets).
   void clear() {
-    std::fill(lines_.begin(), lines_.end(), 0);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    resident_ = 0;
+    std::fill(st_.lines.begin(), st_.lines.end(), 0);
+    std::fill(st_.stamps.begin(), st_.stamps.end(), 0);
+    st_.resident = 0;
   }
 
   int sets() const { return static_cast<int>(nsets_); }
   int ways() const { return ways_; }
-  std::uint64_t resident_lines() const { return resident_; }
+  std::uint64_t resident_lines() const { return st_.resident; }
 
   /// Visits every resident line; order unspecified. Used by the
   /// capmem::check residency sweeps (tag-array contents vs directory).
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (std::size_t i = 0; i < stamps_.size(); ++i) {
-      if (stamps_[i] != 0) fn(lines_[i]);
+    for (std::size_t i = 0; i < st_.stamps.size(); ++i) {
+      if (st_.stamps[i] != 0) fn(st_.lines[i]);
     }
   }
 
-  /// Checkpoint support (capmem::snap): the tag and LRU planes plus the LRU
-  /// clock.
+  /// Checkpoint support (capmem::snap): the LRU clock, the resident count
+  /// and the tag and LRU planes, held live as the one state::CacheState, so
+  /// the snapshot digest reads them in place and an export copies them.
   /// The plane layout is position-deterministic (set index, way order), so
   /// exports are byte-stable across processes. Import requires matching
   /// geometry — snapshots only restore onto the config they captured.
-  state::CacheState export_state() const {
-    state::CacheState s;
-    s.clock = clock_;
-    s.resident = resident_;
-    s.lines = lines_;
-    s.stamps = stamps_;
-    return s;
-  }
+  const state::CacheState& state() const { return st_; }
   void import_state(const state::CacheState& s) {
-    CAPMEM_CHECK_MSG(s.lines.size() == lines_.size() &&
-                         s.stamps.size() == stamps_.size(),
+    CAPMEM_CHECK_MSG(s.lines.size() == st_.lines.size() &&
+                         s.stamps.size() == st_.stamps.size(),
                      "cache snapshot geometry mismatch");
-    clock_ = s.clock;
-    resident_ = s.resident;
-    lines_ = s.lines;
-    stamps_ = s.stamps;
+    st_ = s;
   }
 
  private:
@@ -152,10 +143,7 @@ class SetAssocCache {
   int ways_;
   std::uint64_t nsets_;
   std::uint64_t mask_ = 0;  // nsets - 1 when nsets is a power of two
-  std::uint64_t clock_ = 0;
-  std::uint64_t resident_ = 0;
-  std::vector<Line> lines_;           // tag plane
-  std::vector<std::uint64_t> stamps_;  // LRU plane; 0 = empty way
+  state::CacheState st_;  // LRU clock, resident count, tag and LRU planes
 };
 
 }  // namespace capmem::sim

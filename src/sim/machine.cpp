@@ -379,10 +379,10 @@ bool Machine::run_until(std::uint64_t step_limit) {
   return true;
 }
 
-state::MachineState Machine::export_state() const {
+state::MachineState Machine::export_state(bool with_cache_planes) const {
   state::MachineState s;
   s.engine = engine_.export_state();
-  s.mem = mem_.export_state();
+  s.mem = mem_.export_state(with_cache_planes);
   s.space = space_.export_state();
   s.quiescent = (s.engine.live == 0 && s.engine.queue.empty() &&
                  s.engine.parked.empty() && s.engine.sync_q.empty())

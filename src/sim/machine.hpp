@@ -232,6 +232,7 @@ class Machine {
   const MachineConfig& config() const { return cfg_; }
   const Topology& topology() const { return topo_; }
   MemSystem& memsys() { return mem_; }
+  const MemSystem& memsys() const { return mem_; }
   Engine& engine() { return engine_; }
   AddressSpace& space() { return space_; }
 
@@ -259,8 +260,9 @@ class Machine {
   /// Checkpoint support (capmem::snap): exports engine + memory system +
   /// address space. Quiescent (completed/never-started) machines are
   /// restorable via install_state; paused machines export for digesting
-  /// and differential verification.
-  state::MachineState export_state() const;
+  /// and differential verification. `with_cache_planes` false leaves the
+  /// L1/L2 planes out (see MemSystem::export_state).
+  state::MachineState export_state(bool with_cache_planes = true) const;
 
   /// Installs a quiescent snapshot into this machine. Must be called
   /// before add_thread/run: programs registered afterwards start at the

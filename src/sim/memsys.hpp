@@ -101,8 +101,10 @@ class MemSystem {
 
   /// Checkpoint support (capmem::snap): the complete virtual-time-relevant
   /// state (directory, caches, MCDRAM cache, channel/port reservations,
-  /// per-thread counters, fault counters).
-  state::MemSysState export_state() const;
+  /// per-thread counters, fault counters). With `with_cache_planes` false
+  /// the L1/L2 planes are left out (`l1`/`l2` empty) — the live snapshot
+  /// digest reads them in place through l1_caches()/l2_caches().
+  state::MemSysState export_state(bool with_cache_planes = true) const;
   void import_state(const state::MemSysState& s);
 
   const ThreadCounters& counters(int tid) const { return counters_.at(tid); }
@@ -126,6 +128,8 @@ class MemSystem {
   const SetAssocCache& l2_cache(int tile) const {
     return l2_.at(static_cast<std::size_t>(tile));
   }
+  const std::vector<SetAssocCache>& l1_caches() const { return l1_; }
+  const std::vector<SetAssocCache>& l2_caches() const { return l2_; }
   const MemMap& mem_map() const { return map_; }
 
   /// Aggregate bytes of DRAM / MCDRAM channel traffic so far.

@@ -155,7 +155,7 @@ void AddressSpace::import_state(const state::SpaceState& s) {
 
 // ------------------------------------------------------------- MemSystem
 
-state::MemSysState MemSystem::export_state() const {
+state::MemSysState MemSystem::export_state(bool with_cache_planes) const {
   state::MemSysState s;
   s.directory = dir_.export_state();
   // The directory does not record L1 residency: derive each entry's L1
@@ -172,10 +172,12 @@ state::MemSysState MemSystem::export_state() const {
   s.mc_cache = mc_cache_.export_state();
   s.dram = dram_.export_state();
   s.mcdram = mcdram_.export_state();
-  s.l1.reserve(l1_.size());
-  for (const SetAssocCache& c : l1_) s.l1.push_back(c.export_state());
-  s.l2.reserve(l2_.size());
-  for (const SetAssocCache& c : l2_) s.l2.push_back(c.export_state());
+  if (with_cache_planes) {
+    s.l1.reserve(l1_.size());
+    for (const SetAssocCache& c : l1_) s.l1.push_back(c.state());
+    s.l2.reserve(l2_.size());
+    for (const SetAssocCache& c : l2_) s.l2.push_back(c.state());
+  }
   s.core_ports.reserve(core_ports_.size());
   for (const Reservation& r : core_ports_) {
     s.core_ports.push_back(r.export_state());

@@ -123,6 +123,9 @@ concept Is = std::same_as<std::remove_const_t<S>, T>;
 
 template <Is<CacheState> S>
 auto fields(S& c) { return std::tie(c.clock, c.resident, c.lines, c.stamps); }
+// A live cache holds its state as one CacheState: read in place.
+template <Is<sim::SetAssocCache> S>
+auto fields(S& c) { return fields(c.state()); }
 template <Is<ReservationState> S>
 auto fields(S& r) { return std::tie(r.available, r.busy); }
 template <Is<PoolState> S>
@@ -154,12 +157,17 @@ auto fields(S& c) {
                   c.mcdram_lines, c.mc_cache_hits, c.mc_cache_misses,
                   c.writebacks, c.invalidations, c.line_ops);
 }
-template <Is<MemSysState> S>
-auto fields(S& m) {
-  return std::tie(m.directory, m.mc_cache, m.dram, m.mcdram, m.l1, m.l2,
+// The memory system's and the machine's lists take the L1/L2 planes (and
+// so the memory system) as parameters: the exported vectors of CacheState,
+// or the live caches of a machine (see LiveMachine).
+template <class S, class Caches>
+auto mem_fields(S& m, Caches& l1, Caches& l2) {
+  return std::tie(m.directory, m.mc_cache, m.dram, m.mcdram, l1, l2,
                   m.core_ports, m.l2_supply, m.counters, m.fault_link_retries,
                   m.fault_stuck_hits);
 }
+template <Is<MemSysState> S>
+auto fields(S& m) { return mem_fields(m, m.l1, m.l2); }
 template <Is<AllocState> S>
 auto fields(S& a) {
   return std::tie(a.base, a.bytes, a.mem_kind, a.domain, a.has_data, a.name,
@@ -167,8 +175,29 @@ auto fields(S& a) {
 }
 template <Is<SpaceState> S>
 auto fields(S& s) { return std::tie(s.next, s.allocs); }
+template <class S, class Mem>
+auto machine_fields(S& s, Mem& mem) {
+  return std::tie(s.quiescent, s.engine, mem, s.space);
+}
 template <Is<MachineState> S>
-auto fields(S& s) { return std::tie(s.quiescent, s.engine, s.mem, s.space); }
+auto fields(S& s) { return machine_fields(s, s.mem); }
+
+/// A machine's state with its live L1/L2 caches in place of the planes:
+/// `rest` is export_state without them. It travels as the MachineState
+/// capture() would return, so it digests equal without the plane copy.
+struct LiveMemSys {
+  const MemSysState& rest;
+  const std::vector<sim::SetAssocCache>& l1;
+  const std::vector<sim::SetAssocCache>& l2;
+};
+struct LiveMachine {
+  const MachineState& rest;
+  LiveMemSys mem;
+};
+template <Is<LiveMemSys> S>
+auto fields(S& v) { return mem_fields(v.rest, v.l1, v.l2); }
+template <Is<LiveMachine> S>
+auto fields(S& v) { return machine_fields(v.rest, v.mem); }
 
 template <class T>
 concept Vector = std::same_as<T, std::vector<typename T::value_type>>;
@@ -457,6 +486,14 @@ std::uint64_t digest(const sim::state::MachineState& s) {
   // The payload's FNV-1a, streamed through the encoder: no payload buffer.
   common::Fnv1a h;
   Out{h}(s);
+  return h.value();
+}
+
+std::uint64_t digest(const sim::Machine& m) {
+  const MachineState rest = m.export_state(/*with_cache_planes=*/false);
+  const sim::MemSystem& mem = m.memsys();
+  common::Fnv1a h;
+  Out{h}(LiveMachine{rest, {rest.mem, mem.l1_caches(), mem.l2_caches()}});
   return h.value();
 }
 

@@ -104,6 +104,12 @@ SnapInfo peek(const std::vector<std::uint8_t>& bytes);
 /// these at the capture cursor.
 std::uint64_t digest(const sim::state::MachineState& s);
 
+/// digest(capture(m)) for any state of `m`, mid-run or quiescent, without
+/// the capture: the L1/L2 tag and LRU planes (~2.2 MB on the serve presets)
+/// are hashed in place instead of copied. The rest of the state is small
+/// and exported as capture() exports it.
+std::uint64_t digest(const sim::Machine& m);
+
 /// Canonical snapshot name: "snap-" + 16 hex digits of the byte hash.
 /// Shared by the warm-start cache files and the fuzz_diff checkpoint
 /// ledger, so there is exactly one cache-key convention.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 
 #include "check/differ.hpp"
@@ -124,6 +125,32 @@ TEST(MachineFamily, FittedConstantsDifferAcrossMachines) {
   // fitted R_R must order the machines the same way with clear separation.
   EXPECT_GT(tall.r_remote, mini.r_remote * 1.15);
   EXPECT_NE(mini.lat_dram, tall.lat_dram);
+}
+
+// The fit's suite cells keep their submission slots at any job count, so
+// the fitted model — as capmem_serve fits and persists it — is the same
+// text at one and two host threads.
+TEST(MachineFamily, FittedModelTextIsIdenticalAtAnyJobCount) {
+  for (const char* machine : {"tiny_8t", "mini_16t"}) {
+    for (sim::Protocol protocol : {sim::Protocol::kMesif,
+                                   sim::Protocol::kMosi}) {
+      SCOPED_TRACE(std::string(machine) + "/" + sim::to_string(protocol));
+      sim::MachineConfig cfg = sim::machine_preset(machine);
+      cfg.protocol = protocol;
+      std::string text[2];
+      for (int jobs : {1, 2}) {
+        bench::SuiteOptions so;
+        so.fast = true;
+        so.streams = false;
+        so.jobs = jobs;
+        std::ostringstream os;
+        model::fit_cache_model(cfg, so).save(os);
+        text[jobs - 1] = os.str();
+      }
+      EXPECT_FALSE(text[0].empty());
+      EXPECT_EQ(text[0], text[1]);
+    }
+  }
 }
 
 // fit -> optimize -> simulate agreement on a synthetic machine (the

@@ -11,8 +11,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -702,6 +705,89 @@ TEST(Server, PredictionsAreCachedAndModelSurvivesRestart) {
     Server fresh(test_options(make_temp_dir() + "/cache"));
     fresh.submit(line_b);
     EXPECT_EQ(drain_lines(fresh).at(0), cold_b);
+  }
+}
+
+std::string predict_line(int id, const std::string& machine,
+                         const std::string& protocol,
+                         const std::string& collective, int threads) {
+  Json r = Json::object();
+  r.set("id", id);
+  r.set("type", "predict");
+  r.set("machine", machine);
+  r.set("protocol", protocol);
+  r.set("collective", collective);
+  r.set("threads", threads);
+  return r.dump();
+}
+
+// A cold pass (simulates, and predicts whose models must be fitted) is the
+// same byte stream at one and two workers: replies keep submission order,
+// and a fit spreads its suite cells over the workers without changing the
+// fitted model.
+TEST(Server, ColdMixIsByteIdenticalAtOneAndTwoWorkers) {
+  const std::vector<std::string> mix = {
+      predict_line(0, "tiny_8t", "mesif", "broadcast", 8),
+      simulate_line("tiny_8t", "mesif", 1, 11),
+      predict_line(2, "mini_16t", "mosi", "reduce", 12),
+      simulate_line("mini_16t", "mosi", 3, 12),
+      predict_line(4, "tiny_8t", "mesif", "allreduce", 6),
+      simulate_line("tiny_8t", "mesi", 5, 13),
+      predict_line(6, "mini_16t", "mosi", "barrier", 16),
+  };
+  std::vector<std::vector<std::string>> replies;
+  for (int workers : {1, 2}) {
+    ServerOptions so = test_options(make_temp_dir() + "/cache");
+    so.workers = workers;
+    Server server(so);
+    for (const std::string& line : mix) server.submit(line);
+    replies.push_back(drain_lines(server));
+  }
+  ASSERT_EQ(replies[0].size(), mix.size());
+  for (const std::string& reply : replies[0]) {
+    EXPECT_EQ(error_code_of(reply), "") << reply;
+  }
+  EXPECT_EQ(replies[0], replies[1]);
+}
+
+}  // namespace
+
+namespace capmem::serve {
+/// Holds a Server's fit lock: the state of a worker in mid-fit, pinned for
+/// as long as a test needs it.
+struct ServerTestPeer {
+  static std::mutex& fit_mu(Server& s) { return s.fit_mu_; }
+};
+}  // namespace capmem::serve
+
+namespace {
+
+// While a fit runs, submit() must keep answering predicts whose model is
+// already fitted inline: it consults the fitted models, never the fit.
+TEST(Server, FitInProgressDoesNotStallInlinePredicts) {
+  Server server(test_options(make_temp_dir() + "/cache"));
+  server.submit(predict_line(0, "tiny_8t", "mesif", "broadcast", 8));
+  ASSERT_EQ(error_code_of(drain_lines(server).at(0)), "");
+
+  std::unique_lock<std::mutex> fitting(ServerTestPeer::fit_mu(server));
+  // Cold model: admitted, and its worker waits at the fit lock.
+  server.submit(predict_line(1, "mini_16t", "mesif", "broadcast", 8));
+  // Fitted model, uncached result: the inline path.
+  auto inline_predict = std::async(std::launch::async, [&] {
+    server.submit(predict_line(2, "tiny_8t", "mesif", "allreduce", 12));
+  });
+  const bool answered = inline_predict.wait_for(std::chrono::seconds(60)) ==
+                        std::future_status::ready;
+  const int admitted = server.queue_depth();
+  fitting.unlock();
+  inline_predict.get();
+  EXPECT_TRUE(answered) << "submit() waited for a fit it does not need";
+  EXPECT_EQ(admitted, 1) << "only the cold predict needs a worker";
+
+  const std::vector<std::string> lines = drain_lines(server);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& reply : lines) {
+    EXPECT_EQ(error_code_of(reply), "") << reply;
   }
 }
 

@@ -140,6 +140,45 @@ TEST(SnapDigest, ZeroTagWithLiveStampAndMostlyZeroData) {
   EXPECT_NE(digest(s), empty);
 }
 
+/// The live digest reads the cache planes in place instead of capturing
+/// them; it must equal the captured digest at every pause point: before the
+/// first step, mid-run (populated caches, parked waiters, pending events)
+/// and at completion, on every preset, protocol and memory mode, with and
+/// without injected faults. The workload's data, counter and slot buffers
+/// carry bytes, so allocation data is covered too.
+TEST(SnapDigest, LiveMachineMatchesCapture) {
+  for (const std::string& machine : sim::machine_preset_names()) {
+    for (sim::Protocol protocol :
+         {sim::Protocol::kMesif, sim::Protocol::kMesi, sim::Protocol::kMosi}) {
+      for (sim::MemoryMode memory :
+           {sim::MemoryMode::kFlat, sim::MemoryMode::kCache,
+            sim::MemoryMode::kHybrid}) {
+        for (int severity : {0, 2}) {
+          WorkloadSpec spec = small_spec(
+              23 + static_cast<std::uint64_t>(memory), machine, protocol,
+              memory);
+          spec.fault_severity = severity;
+          WorkloadRun run(spec, nullptr);
+          const std::string where = machine + "/" +
+                                    sim::to_string(protocol) + "/" +
+                                    sim::to_string(memory) + " severity " +
+                                    std::to_string(severity);
+          ASSERT_EQ(digest(run.machine()), digest(capture(run.machine())))
+              << where << " before the first step";
+          bool done = false;
+          for (std::uint64_t until : {40, 150, 400, 0}) {
+            if (!done) done = run.run_until(until);
+            ASSERT_EQ(digest(run.machine()), digest(capture(run.machine())))
+                << where << " at step " << run.steps();
+          }
+          EXPECT_TRUE(done) << where;
+          EXPECT_EQ(capture(run.machine()).quiescent, 1) << where;
+        }
+      }
+    }
+  }
+}
+
 /// The hash values themselves, recorded before the digest was streamed:
 /// a change to the encoder, the hasher or the zero folding that moves any
 /// byte or any hash shows here, not only in downstream digests.
