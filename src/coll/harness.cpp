@@ -229,20 +229,21 @@ std::vector<CollResult> run_collective_sweep(
     const sim::MachineConfig& cfg, const std::vector<SweepPoint>& points,
     const model::CapabilityModel* model, const HarnessOptions& opts,
     int jobs) {
-  exec::Experiment<SweepPoint, CollResult> e;
-  e.configs = points;
-  e.trials = 1;
-  e.base_seed = opts.seed;
-  e.program = [&cfg, model, &opts](const SweepPoint& p,
-                                   const exec::Trial& trial) {
-    HarnessOptions ho = opts;
-    ho.seed = trial.seed;  // per-point seed, stable across jobs values
-    return run_collective(cfg, p.algo, p.nthreads, model, ho);
-  };
   // Host time grows with the thread count, so the widest cells start first
   // instead of last.
-  e.cost = [](const SweepPoint& p) { return p.nthreads; };
-  return exec::run_experiment(e, jobs);
+  exec::JobCosts cost;
+  for (const SweepPoint& p : points) cost.push_back(p.nthreads);
+  return exec::parallel_map<CollResult>(
+      static_cast<int>(points.size()), jobs,
+      [&](int i) {
+        HarnessOptions ho = opts;
+        // Per-point seed, stable across jobs values.
+        ho.seed = exec::derive_seed(opts.seed, static_cast<std::uint64_t>(i),
+                                    0);
+        const SweepPoint& p = points[static_cast<std::size_t>(i)];
+        return run_collective(cfg, p.algo, p.nthreads, model, ho);
+      },
+      cost);
 }
 
 }  // namespace capmem::coll

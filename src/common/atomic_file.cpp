@@ -1,13 +1,13 @@
 #include "common/atomic_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 namespace capmem::common {
@@ -36,8 +36,8 @@ const char* to_string(FileFormatError::Kind k) {
   return "?";
 }
 
-void atomic_write_file(const std::string& path, const void* data,
-                       std::size_t n) {
+std::string write_temp_file(const std::string& path, const void* data,
+                            std::size_t n) {
   // Temp file in the target's directory so the rename cannot cross a
   // filesystem boundary (rename is only atomic within one).
   const std::size_t slash = path.find_last_of('/');
@@ -71,10 +71,19 @@ void atomic_write_file(const std::string& path, const void* data,
     fail_errno("atomic_write_file: fsync", tmp);
   }
   ::close(fd);
+  return tmp;
+}
+
+void rename_over(const std::string& tmp, const std::string& path) {
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
     fail_errno("atomic_write_file: rename to", path);
   }
+}
+
+void atomic_write_file(const std::string& path, const void* data,
+                       std::size_t n) {
+  rename_over(write_temp_file(path, data, n), path);
 }
 
 void atomic_write_file(const std::string& path, const std::string& text) {
@@ -148,24 +157,44 @@ Unsealed unseal(const std::vector<std::uint8_t>& bytes,
   return u;
 }
 
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+bool read_file(const std::string& path, std::vector<std::uint8_t>* out,
+               FileId* id) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     if (errno == ENOENT) return false;
-    // Conservative: treat any unopened file as absent only when the OS says
-    // so; other errors (permissions) surface loudly.
-    if (::access(path.c_str(), F_OK) != 0) return false;
-    throw CheckError("read_file: cannot open '" + path + "'");
+    fail_errno("read_file: cannot open", path);
   }
-  in.seekg(0, std::ios::end);
-  const std::streamoff len = in.tellg();
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(len < 0 ? 0 : len));
-  if (!out->empty()) {
-    in.read(reinterpret_cast<char*>(out->data()),
-            static_cast<std::streamsize>(out->size()));
-    if (!in) throw CheckError("read_file: short read from '" + path + "'");
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    fail_errno("read_file: cannot stat", path);
   }
+  if (id) *id = FileId{static_cast<std::uint64_t>(st.st_dev),
+                       static_cast<std::uint64_t>(st.st_ino)};
+  // Read to end of file rather than trusting st_size, which is 0 for pipes.
+  out->resize(static_cast<std::size_t>(st.st_size > 0 ? st.st_size : 0) + 1);
+  std::size_t len = 0;
+  for (;;) {
+    if (len == out->size()) out->resize(2 * len);
+    const ssize_t r = ::read(fd, out->data() + len, out->size() - len);
+    if (r == 0) break;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      fail_errno("read_file: read from", path);
+    }
+    len += static_cast<std::size_t>(r);
+  }
+  ::close(fd);
+  out->resize(len);
+  return true;
+}
+
+bool file_id(const std::string& path, FileId* id) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return false;
+  *id = FileId{static_cast<std::uint64_t>(st.st_dev),
+               static_cast<std::uint64_t>(st.st_ino)};
   return true;
 }
 

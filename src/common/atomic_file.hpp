@@ -55,6 +55,14 @@ const char* to_string(FileFormatError::Kind k);
 /// the temp file is unlinked on every failure path.
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t n);
+/// The same write in its two halves, for callers that must publish under
+/// their own lock: write_temp_file writes `data` to a uniquely named,
+/// fsync'd temp file beside `path` and returns its name; rename_over
+/// renames it over `path`. Each throws CheckError and unlinks the temp on
+/// failure.
+std::string write_temp_file(const std::string& path, const void* data,
+                            std::size_t n);
+void rename_over(const std::string& tmp, const std::string& path);
 void atomic_write_file(const std::string& path, const std::string& text);
 void atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
@@ -74,8 +82,21 @@ struct Unsealed {
 Unsealed unseal(const std::vector<std::uint8_t>& bytes,
                 std::int64_t expect_version = -1);
 
-/// Reads a whole file; false when it does not exist. Throws CheckError on
-/// read errors other than absence.
-bool read_file(const std::string& path, std::vector<std::uint8_t>* out);
+/// Identity of a file (device, inode). Every rename_over gives its path a
+/// new identity, so equal ids mean the path still names the same file.
+struct FileId {
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  bool operator==(const FileId&) const = default;
+};
+
+/// Reads a whole file to its end; false when it does not exist. Throws
+/// CheckError on read errors other than absence. `id` (nullable) receives
+/// the identity of the file read.
+bool read_file(const std::string& path, std::vector<std::uint8_t>* out,
+               FileId* id = nullptr);
+
+/// Identity of the file `path` names now; false when it names none.
+bool file_id(const std::string& path, FileId* id);
 
 }  // namespace capmem::common

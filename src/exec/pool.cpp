@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 
 #include "common/check.hpp"
 #include "exec/progress.hpp"
@@ -23,6 +24,12 @@ double us_since(Clock::time_point t0) {
 // inline (nworkers <= 1) caller; exec.job_queue_wait_us counts from there.
 thread_local Clock::time_point t_last_job_end;
 
+// One failed job: its submission index plus the exception it threw.
+struct JobError {
+  std::size_t job = 0;
+  std::exception_ptr error;
+};
+
 // The unobserved dispatch path. Every job runs (a throw never skips later
 // jobs' slots); failures come back by submission index, already ordered.
 std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
@@ -30,7 +37,7 @@ std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
   // Validated on both paths, so a malformed hint fails at any --jobs.
   const std::vector<std::size_t> order = dispatch_order(cost, jobs.size());
   std::vector<JobError> errors;
-  if (nworkers <= 1) {
+  if (nworkers <= 1 || jobs.size() < 2) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       try {
         jobs[i]();
@@ -44,7 +51,7 @@ std::vector<JobError> collect_raw(std::vector<std::function<void()>>&& jobs,
   std::vector<std::future<void>> futs(jobs.size());
   for (std::size_t i : order) futs[i] = pool.submit(std::move(jobs[i]));
   // Wait for everything before returning so no job still references the
-  // caller's slots when run_jobs_collect returns.
+  // caller's slots when run_jobs returns.
   for (std::size_t i = 0; i < futs.size(); ++i) {
     try {
       futs[i].get();
@@ -103,13 +110,10 @@ std::vector<JobError> run_jobs_profiled(
   return errors;
 }
 
-// Installed failure handler (process-wide, like the process registry).
-JobFailureHandler g_failure_handler;
-
 }  // namespace
 
 Pool::Pool(int nworkers) {
-  if (nworkers <= 0) nworkers = default_jobs();
+  CAPMEM_CHECK_MSG(nworkers >= 1, "Pool of " << nworkers << " workers");
   workers_.reserve(static_cast<std::size_t>(nworkers));
   for (int i = 0; i < nworkers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -153,11 +157,6 @@ std::vector<std::size_t> dispatch_order(const JobCosts& cost,
   return order;
 }
 
-int Pool::default_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(1, static_cast<int>(hw));
-}
-
 void Pool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
@@ -181,9 +180,8 @@ void Pool::worker_loop() {
   }
 }
 
-std::vector<JobError> run_jobs_collect(
-    std::vector<std::function<void()>>&& jobs, int nworkers,
-    const JobCosts& cost) {
+void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers,
+              const JobCosts& cost) {
   if (ProgressMeter* pm = progress_meter()) {
     // The meter ticks when a job leaves its slot — including on a throw, so
     // the heartbeat never undercounts a failing sweep.
@@ -199,26 +197,11 @@ std::vector<JobError> run_jobs_collect(
     }
   }
   obs::Registry* reg = obs::process_registry();
-  if (reg == nullptr) return collect_raw(std::move(jobs), nworkers, cost);
-  return run_jobs_profiled(std::move(jobs), nworkers, cost, *reg);
-}
-
-JobFailureHandler set_job_failure_handler(JobFailureHandler h) {
-  JobFailureHandler prev = std::move(g_failure_handler);
-  g_failure_handler = std::move(h);
-  return prev;
-}
-
-void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers,
-              const JobCosts& cost) {
-  std::vector<JobError> errors =
-      run_jobs_collect(std::move(jobs), nworkers, cost);
-  if (errors.empty()) return;
-  if (g_failure_handler) {
-    for (const JobError& e : errors) g_failure_handler(e.job, e.error);
-    return;
-  }
-  std::rethrow_exception(errors.front().error);
+  const std::vector<JobError> errors =
+      reg == nullptr ? collect_raw(std::move(jobs), nworkers, cost)
+                     : run_jobs_profiled(std::move(jobs), nworkers, cost,
+                                         *reg);
+  if (!errors.empty()) std::rethrow_exception(errors.front().error);
 }
 
 }  // namespace capmem::exec

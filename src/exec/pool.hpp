@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <future>
 #include <thread>
@@ -20,8 +19,9 @@ namespace capmem::exec {
 
 class Pool {
  public:
-  /// Spawns `nworkers` host threads; nworkers <= 0 means default_jobs().
-  explicit Pool(int nworkers = 0);
+  /// Spawns `nworkers` (>= 1) host threads. Cli::get_jobs resolves
+  /// `--jobs 0` to the host's thread count before a Pool sees it.
+  explicit Pool(int nworkers);
   /// Joins all workers. Pending jobs are finished first.
   ~Pool();
 
@@ -34,9 +34,6 @@ class Pool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Host hardware concurrency (>= 1), the `--jobs 0` resolution.
-  static int default_jobs();
-
  private:
   void worker_loop();
 
@@ -46,12 +43,6 @@ class Pool {
   std::vector<std::packaged_task<void()>> queue_;  // FIFO via head index
   std::size_t head_ = 0;
   bool stop_ = false;
-};
-
-/// One failed job: its submission index plus the exception it threw.
-struct JobError {
-  std::size_t job = 0;
-  std::exception_ptr error;
 };
 
 /// Per-job start-order hint of a batch: one finite value per job (larger =
@@ -67,14 +58,14 @@ using JobCosts = std::vector<double>;
 std::vector<std::size_t> dispatch_order(const JobCosts& cost,
                                         std::size_t njobs);
 
-/// Runs every job in `jobs`. With `nworkers` <= 1 the jobs run inline on
-/// the calling thread, in submission order — the serial reference path;
-/// otherwise they start on a Pool of `nworkers` threads in
-/// dispatch_order(cost). Dispatch order is not result order: all jobs run
-/// even when some throw, failures are collected and returned by submission
-/// index in submission order, and results are whatever the jobs wrote into
-/// their own slots — callers give each job exclusive storage and merge in
-/// deterministic order, so the hint changes wall time only.
+/// Runs every job in `jobs`. With `nworkers` <= 1, or fewer than two
+/// jobs, the jobs run inline on the calling thread, in submission order —
+/// the serial reference path; otherwise they start on a Pool of
+/// min(nworkers, jobs) threads in dispatch_order(cost). Dispatch order is
+/// not result order: all jobs run even when some throw, and then the first
+/// failure by submission index is rethrown. Results are whatever the jobs
+/// wrote into their own slots — callers give each job exclusive storage and
+/// merge in deterministic order, so the hint changes wall time only.
 ///
 /// When an obs::Registry is installed as the process registry (obs::Session
 /// with --metrics-out), every job is additionally wrapped with host
@@ -84,23 +75,6 @@ std::vector<std::size_t> dispatch_order(const JobCosts& cost,
 /// the batch ended, or the batch started) to the job's start. Host times
 /// are nondeterministic; they appear only in the metrics output and never
 /// influence job results.
-std::vector<JobError> run_jobs_collect(
-    std::vector<std::function<void()>>&& jobs, int nworkers,
-    const JobCosts& cost = {});
-
-/// Observes each failed job of a run_jobs batch, in submission order.
-using JobFailureHandler =
-    std::function<void(std::size_t job, std::exception_ptr error)>;
-
-/// Installs a process-wide handler run_jobs delivers failures to (null to
-/// uninstall); returns the previous handler. Not thread-safe: install
-/// before batches start, as obs::Session does for its hooks.
-JobFailureHandler set_job_failure_handler(JobFailureHandler h);
-
-/// run_jobs_collect, then failure delivery: every failure goes to the
-/// installed JobFailureHandler in submission order; without a handler the
-/// first failure is rethrown (the historical contract — bit-identical
-/// behavior on the happy path and for existing callers).
 void run_jobs(std::vector<std::function<void()>>&& jobs, int nworkers,
               const JobCosts& cost = {});
 

@@ -3,9 +3,9 @@
 // A ProgressMeter renders a single throttled status line to stderr
 // ("fuzz  12/96 jobs  4.1/s  eta 20s  quarantined 1") while exec::run_jobs
 // works through a batch. It is installed process-wide (like the process
-// registry and the job-failure handler); run_jobs ticks it once per
-// completed job and the recovery layer feeds quarantine counts. Without an
-// installed meter the hot path pays one pointer test per batch.
+// registry); run_jobs ticks it once per completed job and the recovery
+// layer feeds quarantine counts. Without an installed meter the hot path
+// pays one pointer test per batch.
 //
 // stderr only, and throttled on host wall time: stdout stays byte-identical
 // with the meter on or off, so goldens and fuzz transcripts never see it.

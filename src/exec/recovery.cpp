@@ -42,13 +42,8 @@ FailureClass default_failure_class(std::exception_ptr ep) {
 }
 
 RetryOutcome run_with_retry(const std::function<void()>& job,
-                            const RetryPolicy& rp,
-                            const FailureClassifier& classify_in) {
+                            const RetryPolicy& rp) {
   CAPMEM_CHECK(rp.max_attempts >= 1);
-  const FailureClassifier& classify =
-      classify_in ? classify_in
-                  : static_cast<const FailureClassifier&>(
-                        default_failure_class);
   RetryOutcome out;
   double backoff = rp.backoff_ms;
   double total_backoff = 0;
@@ -61,7 +56,7 @@ RetryOutcome run_with_retry(const std::function<void()>& job,
       return out;
     } catch (...) {
       out.eptr = std::current_exception();
-      out.cls = classify(out.eptr);
+      out.cls = default_failure_class(out.eptr);
     }
     if (out.cls == FailureClass::kTransient && attempt < rp.max_attempts) {
       // The attempt budget bounds *how many* retries; the total-backoff
@@ -113,13 +108,10 @@ std::string BatchReport::summary() const {
 }
 
 BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
-                             int nworkers, const RecoveryOptions& opts,
+                             int nworkers, const RetryPolicy& rp,
                              const JobCosts& cost) {
   const std::size_t njobs = jobs.size();
-  const RetryPolicy& rp = opts.retry;
   CAPMEM_CHECK(rp.max_attempts >= 1);
-  const FailureClassifier classify =
-      opts.classify ? opts.classify : default_failure_class;
 
   // Per-job outcome slots, exclusive to each wrapper (same slot discipline
   // run_jobs gives its callers).
@@ -129,11 +121,11 @@ BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
   wrapped.reserve(njobs);
   for (std::size_t i = 0; i < njobs; ++i) {
     RetryOutcome* slot = &slots[i];
-    wrapped.push_back([job = std::move(jobs[i]), slot, &classify, &rp] {
-      *slot = run_with_retry(job, rp, classify);
+    wrapped.push_back([job = std::move(jobs[i]), slot, &rp] {
+      *slot = run_with_retry(job, rp);
     });
   }
-  run_jobs_collect(std::move(wrapped), nworkers, cost);  // wrappers never throw
+  run_jobs(std::move(wrapped), nworkers, cost);  // wrappers never throw
 
   BatchReport rep;
   rep.jobs = njobs;

@@ -1,4 +1,4 @@
-// Fault-tolerant batch execution on top of exec::run_jobs_collect.
+// Fault-tolerant batch execution on top of exec::run_jobs.
 //
 // A sweep of hundreds of simulated experiments must not lose everything to
 // one pathological cell: run_jobs_recover runs a batch to completion,
@@ -90,17 +90,11 @@ struct RetryPolicy {
   bool sleep = true;           ///< false: skip the host sleep (tests)
 };
 
-/// Maps an exception to a FailureClass. The default classifier unwraps
-/// ClassifiedFailure implementers (sim::SimAbort), treats allocation /
-/// system-resource errors as transient, and everything else — CheckError,
-/// logic errors, unknown exceptions — as deterministic.
-using FailureClassifier = std::function<FailureClass(std::exception_ptr)>;
+/// Maps an exception to a FailureClass: unwraps ClassifiedFailure
+/// implementers (sim::SimAbort), treats allocation / system-resource errors
+/// as transient, and everything else — CheckError, logic errors, unknown
+/// exceptions — as deterministic.
 FailureClass default_failure_class(std::exception_ptr ep);
-
-struct RecoveryOptions {
-  RetryPolicy retry;
-  FailureClassifier classify;  ///< null = default_failure_class
-};
 
 /// Terminal outcome of one retried call (see run_with_retry).
 struct RetryOutcome {
@@ -118,8 +112,7 @@ struct RetryOutcome {
 /// the per-job engine of run_jobs_recover, exposed for callers (the serve
 /// daemon) that retry single requests instead of batches.
 RetryOutcome run_with_retry(const std::function<void()>& job,
-                            const RetryPolicy& rp,
-                            const FailureClassifier& classify = {});
+                            const RetryPolicy& rp);
 
 /// Runs `jobs` (same slot discipline and `cost` start-order hint as
 /// run_jobs) with retry/quarantine recovery. Never throws on job failure —
@@ -128,8 +121,7 @@ RetryOutcome run_with_retry(const std::function<void()>& job,
 /// exec.jobs_ok / exec.jobs_failed / exec.jobs_timed_out /
 /// exec.jobs_quarantined / exec.jobs_retried.
 BatchReport run_jobs_recover(std::vector<std::function<void()>>&& jobs,
-                             int nworkers,
-                             const RecoveryOptions& opts = {},
+                             int nworkers, const RetryPolicy& rp = {},
                              const JobCosts& cost = {});
 
 }  // namespace capmem::exec

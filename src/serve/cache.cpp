@@ -37,14 +37,24 @@ std::string ResultCache::entry_path(std::uint64_t key) const {
   return shard_dir(key) + "/" + key_hex(key) + ".res";
 }
 
+void ResultCache::make_dir_once(unsigned bit, const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if ((made_shards_ & (1u << bit)) == 0) {
+    ensure_dir(path);
+    made_shards_ |= 1u << bit;
+  }
+}
+
 void ResultCache::write_entry(std::uint64_t key,
                               const std::vector<std::uint8_t>& sealed) {
-  const unsigned shard = static_cast<unsigned>(key >> 60);
-  if ((made_shards_ & (1u << shard)) == 0) {
-    ensure_dir(shard_dir(key));
-    made_shards_ |= 1u << shard;
-  }
-  common::atomic_write_file(entry_path(key), sealed);
+  make_dir_once(static_cast<unsigned>(key >> 60), shard_dir(key));
+  const std::string path = entry_path(key);
+  // The fsync'd write runs unlocked; only the rename that publishes it is
+  // ordered against quarantine moves.
+  const std::string tmp =
+      common::write_temp_file(path, sealed.data(), sealed.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  common::rename_over(tmp, path);
   ++stats_.stores;
 }
 
@@ -56,8 +66,9 @@ bool ResultCache::lookup(std::uint64_t key, std::string* result,
                          std::string* reason) {
   const std::string path = entry_path(key);
   std::vector<std::uint8_t> bytes;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!common::read_file(path, &bytes)) {
+  common::FileId read_id;
+  if (!common::read_file(path, &bytes, &read_id)) {
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
     return false;
   }
@@ -65,15 +76,18 @@ bool ResultCache::lookup(std::uint64_t key, std::string* result,
     common::Unsealed u = common::unseal(bytes, kServeFormatVersion);
     result->assign(reinterpret_cast<const char*>(u.payload.data()),
                    u.payload.size());
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
     return true;
   } catch (const common::FileFormatError& e) {
     const std::string why =
         std::string(common::to_string(e.kind())) + ": " + e.what();
-    quarantine(key, path, why);
-    if (reason) *reason = why;
-    ++stats_.corrupt;
-    ++stats_.misses;  // the caller recomputes, same as a plain miss
+    // Either way the caller recomputes, same as a plain miss.
+    const bool moved = quarantine(key, path, read_id, why);
+    if (moved && reason) *reason = why;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (moved) ++stats_.corrupt;
+    ++stats_.misses;
     return false;
   }
 }
@@ -82,7 +96,6 @@ void ResultCache::store(std::uint64_t key, const std::string& result) {
   std::vector<std::uint8_t> payload(result.begin(), result.end());
   const std::vector<std::uint8_t> sealed =
       common::seal(kServeFormatVersion, payload);
-  std::lock_guard<std::mutex> lock(mu_);
   write_entry(key, sealed);
 }
 
@@ -93,7 +106,6 @@ void ResultCache::store_truncated(std::uint64_t key,
   std::vector<std::uint8_t> sealed =
       common::seal(kServeFormatVersion, payload);
   if (keep_bytes < sealed.size()) sealed.resize(keep_bytes);
-  std::lock_guard<std::mutex> lock(mu_);
   write_entry(key, sealed);
 }
 
@@ -102,17 +114,28 @@ CacheStats ResultCache::stats() const {
   return stats_;
 }
 
-void ResultCache::quarantine(std::uint64_t key, const std::string& path,
+bool ResultCache::quarantine(std::uint64_t key, const std::string& path,
+                             const common::FileId& read_id,
                              const std::string& why) {
-  ensure_dir(dir_ + "/quarantine");
-  const std::string bad = quarantine_path(key);
-  // rename(2): atomic move-aside; the entry slot is free for the rewrite.
-  if (std::rename(path.c_str(), bad.c_str()) != 0) {
-    std::remove(path.c_str());  // same directory tree; removal suffices
+  make_dir_once(kQuarantineBit, dir_ + "/quarantine");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Stores publish under mu_, so the path still names the file that was
+    // read exactly when its identity is unchanged. Otherwise a concurrent
+    // store replaced it (or a concurrent lookup moved it aside already),
+    // and the entry there now is not the one found corrupt.
+    common::FileId now;
+    if (!common::file_id(path, &now) || !(now == read_id)) return false;
+    // rename(2): atomic move-aside; the entry slot is free for the rewrite.
+    const std::string bad = quarantine_path(key);
+    if (std::rename(path.c_str(), bad.c_str()) != 0) {
+      std::remove(path.c_str());  // same directory tree; removal suffices
+    }
   }
   const std::string reason_path =
       dir_ + "/quarantine/" + key_hex(key) + ".reason";
   common::atomic_write_file(reason_path, why + "\n");
+  return true;
 }
 
 }  // namespace capmem::serve

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hpp"
+
 namespace capmem::serve {
 
 struct CacheStats {
@@ -68,17 +70,29 @@ class ResultCache {
   std::string quarantine_path(std::uint64_t key) const;
 
  private:
-  void quarantine(std::uint64_t key, const std::string& path,
-                  const std::string& why);
+  /// Bit of made_shards_ that records the quarantine directory.
+  static constexpr unsigned kQuarantineBit = 16;
+
+  /// Moves the entry at `path` aside with a reason file, unless `path` no
+  /// longer names the file `read_id` identifies. Returns whether it moved.
+  bool quarantine(std::uint64_t key, const std::string& path,
+                  const common::FileId& read_id, const std::string& why);
   std::string shard_dir(std::uint64_t key) const;
+  /// Creates `path` the first time this cache needs it (made_shards_ bit).
+  void make_dir_once(unsigned bit, const std::string& path);
   /// Writes sealed entry bytes, creating the shard directory first if this
-  /// cache has not yet. Caller holds mu_.
+  /// cache has not yet.
   void write_entry(std::uint64_t key, const std::vector<std::uint8_t>& sealed);
 
   std::string dir_;
+  /// Guards stats_ and made_shards_, and orders the rename that publishes
+  /// an entry against a quarantine's identity check and move. File reads
+  /// and fsync'd writes run outside it, so one request's disk I/O never
+  /// blocks another's lookup.
   mutable std::mutex mu_;
   CacheStats stats_;
-  std::uint32_t made_shards_ = 0;  ///< bit i: shard-i exists (under mu_)
+  /// Bit i < 16: shard-i exists; bit kQuarantineBit: quarantine/ exists.
+  std::uint32_t made_shards_ = 0;
 };
 
 }  // namespace capmem::serve

@@ -1,5 +1,5 @@
 // Tests of the parallel experiment-execution layer: the worker pool, the
-// deterministic seed derivation, the Experiment runner, and the contract
+// deterministic seed derivation, the parallel maps, and the contract
 // the whole layer exists for — suite results that are bit-identical no
 // matter how many host workers execute the cells.
 #include <gtest/gtest.h>
@@ -67,6 +67,11 @@ TEST(Pool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+TEST(Pool, RequiresAtLeastOneWorker) {
+  EXPECT_THROW(Pool(0), CheckError);
+  EXPECT_THROW(Pool(-1), CheckError);
+}
+
 TEST(RunJobs, ExecutesAllJobsSerialAndParallel) {
   for (int workers : {1, 8}) {
     std::vector<int> done(64, 0);
@@ -96,7 +101,19 @@ TEST(RunJobs, RethrowsFirstExceptionBySubmissionOrder) {
   }
 }
 
-TEST(RunJobsCollect, ReportsEveryFailureInSubmissionOrder) {
+TEST(RunJobs, BatchesOfFewerThanTwoJobsRunOnTheCaller) {
+  // An empty batch starts no pool, and a one-job batch has nothing to run
+  // beside it: both stay on the calling thread at any worker count.
+  run_jobs({}, 4);
+  std::thread::id ran_on;
+  std::vector<std::function<void()>> one;
+  one.push_back([&ran_on] { ran_on = std::this_thread::get_id(); });
+  run_jobs(std::move(one), 4);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(parallel_map<int>(0, 4, [](int i) { return i; }).empty());
+}
+
+TEST(RunJobsRecover, ReportsEveryFailureInSubmissionOrder) {
   for (int workers : {1, 4}) {
     std::vector<int> done(4, 0);
     std::vector<std::function<void()>> jobs;
@@ -104,32 +121,21 @@ TEST(RunJobsCollect, ReportsEveryFailureInSubmissionOrder) {
     jobs.push_back([] { throw std::runtime_error("first"); });
     jobs.push_back([&done] { done[2] = 1; });
     jobs.push_back([] { throw std::logic_error("second"); });
-    const auto errors = run_jobs_collect(std::move(jobs), workers);
-    // Every job ran — a throwing job no longer stops its siblings, even on
-    // the serial path.
+    RetryPolicy rp;
+    rp.sleep = false;
+    const BatchReport rep = run_jobs_recover(std::move(jobs), workers, rp);
+    // Every job ran — a throwing job never stops its siblings, even on the
+    // serial path.
     EXPECT_EQ(done[0], 1);
     EXPECT_EQ(done[2], 1);
-    ASSERT_EQ(errors.size(), 2u);
-    EXPECT_EQ(errors[0].job, 1u);
-    EXPECT_EQ(errors[1].job, 3u);
-    EXPECT_THROW(std::rethrow_exception(errors[0].error),
+    ASSERT_EQ(rep.failures.size(), 2u);
+    EXPECT_EQ(rep.failures[0].job, 1u);
+    EXPECT_EQ(rep.failures[1].job, 3u);
+    EXPECT_THROW(std::rethrow_exception(rep.failures[0].eptr),
                  std::runtime_error);
-    EXPECT_THROW(std::rethrow_exception(errors[1].error), std::logic_error);
+    EXPECT_THROW(std::rethrow_exception(rep.failures[1].eptr),
+                 std::logic_error);
   }
-}
-
-TEST(RunJobs, FailureHandlerSeesEveryFailureWithoutRethrow) {
-  std::vector<std::size_t> seen;
-  auto previous = set_job_failure_handler(
-      [&seen](std::size_t job, std::exception_ptr) { seen.push_back(job); });
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([] { throw std::runtime_error("a"); });
-  jobs.push_back([] {});
-  jobs.push_back([] { throw std::runtime_error("b"); });
-  run_jobs(std::move(jobs), 4);  // must not throw: the handler absorbs
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 2}));
-  // Restore whatever was installed before (usually null).
-  set_job_failure_handler(std::move(previous));
 }
 
 TEST(RunJobsRecover, SiblingJobsSurviveADeadlockedSimulation) {
@@ -161,9 +167,9 @@ TEST(RunJobsRecover, SiblingJobsSurviveADeadlockedSimulation) {
         jobs.push_back([&done, i] { done[static_cast<std::size_t>(i)] = 1; });
       }
     }
-    RecoveryOptions opts;
-    opts.retry.sleep = false;
-    const BatchReport rep = run_jobs_recover(std::move(jobs), workers, opts);
+    RetryPolicy rp;
+    rp.sleep = false;
+    const BatchReport rep = run_jobs_recover(std::move(jobs), workers, rp);
     for (int i = 0; i < 6; ++i) {
       if (i != 2) {
         EXPECT_EQ(done[static_cast<std::size_t>(i)], 1) << i;
@@ -196,9 +202,9 @@ TEST(RunJobsRecover, RetryReinvokesTheSameJobWithTheSameSeed) {
           "flaky host");
     }
   });
-  RecoveryOptions opts;
-  opts.retry.sleep = false;
-  const BatchReport rep = run_jobs_recover(std::move(jobs), 1, opts);
+  RetryPolicy rp;
+  rp.sleep = false;
+  const BatchReport rep = run_jobs_recover(std::move(jobs), 1, rp);
   EXPECT_TRUE(rep.all_ok());
   EXPECT_EQ(rep.ok, 1u);
   EXPECT_EQ(rep.retried, 1u);
@@ -231,9 +237,9 @@ TEST(RunJobsRecover, SummaryIsByteIdenticalAcrossWorkerCounts) {
         jobs.push_back([] {});
       }
     }
-    RecoveryOptions opts;
-    opts.retry.sleep = false;
-    return run_jobs_recover(std::move(jobs), workers, opts);
+    RetryPolicy rp;
+    rp.sleep = false;
+    return run_jobs_recover(std::move(jobs), workers, rp);
   };
   const BatchReport serial = run_batch(1);
   const BatchReport parallel = run_batch(8);
@@ -264,31 +270,6 @@ TEST(TryParallelMap, DeliversResultsAndReportTogether) {
   for (int i = 0; i < 10; ++i) {
     if (i == 3) continue;
     EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
-  }
-}
-
-TEST(Experiment, SeedsFollowDerivationAndReduceSeesTrialOrder) {
-  Experiment<int, std::vector<std::uint64_t>> e;
-  e.configs = {10, 20, 30};
-  e.trials = 4;
-  e.base_seed = 42;
-  e.program = [](int /*cfg*/, const Trial& t) {
-    return std::vector<std::uint64_t>{t.seed};
-  };
-  e.reduce = [](int /*cfg*/, std::vector<std::vector<std::uint64_t>>&& rs) {
-    std::vector<std::uint64_t> flat;
-    for (auto& r : rs) flat.push_back(r[0]);
-    return flat;
-  };
-  const auto serial = run_experiment(e, 1);
-  const auto parallel = run_experiment(e, 8);
-  ASSERT_EQ(serial.size(), 3u);
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t c = 0; c < serial.size(); ++c) {
-    ASSERT_EQ(serial[c].size(), 4u);
-    for (std::size_t t = 0; t < serial[c].size(); ++t) {
-      EXPECT_EQ(serial[c][t], derive_seed(42, c, t));
-    }
   }
 }
 
@@ -361,24 +342,6 @@ TEST(HintedBatch, SlotsMatchAtEveryWorkerCountAndTheUnhintedBatch) {
               unhinted)
         << workers << " workers";
   }
-
-  Experiment<int, std::vector<std::uint64_t>> e;
-  e.configs = {4, 1, 3, 3, 0, 2};
-  e.trials = 3;
-  e.base_seed = 9;
-  e.program = [](int cfg, const Trial& t) {
-    return std::vector<std::uint64_t>{t.seed, static_cast<std::uint64_t>(cfg)};
-  };
-  e.reduce = [](int /*cfg*/, std::vector<std::vector<std::uint64_t>>&& rs) {
-    std::vector<std::uint64_t> flat;
-    for (auto& r : rs) flat.insert(flat.end(), r.begin(), r.end());
-    return flat;
-  };
-  const auto plain = run_experiment(e, 1);
-  e.cost = [](int cfg) { return static_cast<double>(cfg); };
-  for (int workers : {1, 2, 4}) {
-    EXPECT_EQ(run_experiment(e, workers), plain) << workers << " workers";
-  }
 }
 
 TEST(HintedBatch, FailuresKeepTheirSubmissionIndex) {
@@ -402,26 +365,19 @@ TEST(HintedBatch, FailuresKeepTheirSubmissionIndex) {
   };
   for (int workers : {1, 2, 4}) {
     SCOPED_TRACE(workers);
-    std::vector<std::size_t> seen;
-    std::vector<std::string> what;
-    auto previous = set_job_failure_handler(
-        [&](std::size_t job, std::exception_ptr ep) {
-          seen.push_back(job);
-          try {
-            std::rethrow_exception(ep);
-          } catch (const std::exception& ex) {
-            what.push_back(ex.what());
-          }
-        });
-    run_jobs(make_jobs(), workers, cost);
-    set_job_failure_handler(std::move(previous));
-    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 6}));
-    EXPECT_EQ(what, (std::vector<std::string>{"cell 1", "cell 6"}));
+    // run_jobs rethrows the first failure by submission index, not the
+    // first to start.
+    try {
+      run_jobs(make_jobs(), workers, cost);
+      ADD_FAILURE() << "expected an exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "cell 1");
+    }
 
-    RecoveryOptions opts;
-    opts.retry.sleep = false;
+    RetryPolicy rp;
+    rp.sleep = false;
     const BatchReport rep =
-        run_jobs_recover(make_jobs(), workers, opts, cost);
+        run_jobs_recover(make_jobs(), workers, rp, cost);
     ASSERT_EQ(rep.failures.size(), 2u);
     EXPECT_EQ(rep.failures[0].job, 1u);
     EXPECT_EQ(rep.failures[0].error, "cell 1");
@@ -436,7 +392,7 @@ TEST(HintedBatch, FailuresKeepTheirSubmissionIndex) {
           }
           return i + 100;
         },
-        opts, cost);
+        rp, cost);
     EXPECT_EQ(map_rep.summary(), rep.summary());
     for (int i = 0; i < kN; ++i) {
       EXPECT_EQ(slots[static_cast<std::size_t>(i)],

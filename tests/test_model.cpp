@@ -6,6 +6,8 @@
 #include <cmath>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "model/collective_model.hpp"
@@ -132,6 +134,139 @@ TEST(Params, LoadRejectsNonFiniteValues) {
   expect_load_error("r_remote", "nan", "non-finite");
   expect_load_error("multiline_r2", "inf", "non-finite");
   expect_load_error("c2c_copy_gbps", "-inf", "non-finite");
+}
+
+// Seeded mutants of saved model texts: bit flips, truncations, splices of
+// two models, and duplicated, dropped or rewritten lines. Each mutant either
+// loads — and then re-saves to text that loads back to the same model and
+// re-saves byte-identically — or throws CheckError. Any other exception
+// (or, in the sanitizer build, any UB) fails.
+TEST(Params, LoadSurvivesMutatedTexts) {
+  std::vector<std::string> saved;
+  {
+    CapabilityModel a;
+    a.machine = "knl7210";
+    CapabilityModel b;
+    b.machine = " knl 38t ";
+    b.cluster = sim::ClusterMode::kSNC4;
+    b.memory = sim::MemoryMode::kCache;
+    b.r_local = 3.75;
+    b.r_remote = 1.0 / 3.0;
+    b.contention = {118.25, -31.5e-3, 0.987};
+    b.multiline = {2.5e7, 4.9e-300, 1};
+    b.bw_dram = {9.5, 81.125};
+    b.has_mcdram = false;
+    CapabilityModel c = b;
+    c.machine = "";
+    c.memory = sim::MemoryMode::kHybrid;
+    c.lat_dram = 1e300;
+    c.r_mem_mcdram = -0.0;
+    for (const CapabilityModel* m : {&a, &b, &c}) {
+      std::ostringstream os;
+      m->save(os);
+      saved.push_back(os.str());
+    }
+  }
+  const std::vector<std::string> tokens = {
+      "", " ", "nan", "-inf", "1e999", "1e-999", "0x1p3", "+1", "-0",
+      "4e-320", "1.5.2", "SNC-4", "cache", "machine", "\t2"};
+
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return bound == 0 ? 0 : (state >> 33) % bound;
+  };
+  const auto split_lines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    for (std::string l; std::getline(is, l);) lines.push_back(l);
+    return lines;
+  };
+  const auto join_lines = [](const std::vector<std::string>& lines) {
+    std::string text;
+    for (const std::string& l : lines) text += l + '\n';
+    return text;
+  };
+
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = saved[next(saved.size())];
+    const int nmut = 1 + static_cast<int>(next(3));
+    for (int k = 0; k < nmut; ++k) {
+      std::vector<std::string> lines = split_lines(text);
+      switch (next(6)) {
+        case 0:  // bit flip
+          if (!text.empty()) {
+            text[next(text.size())] ^= static_cast<char>(1u << next(8));
+          }
+          break;
+        case 1:  // truncation
+          text.resize(next(text.size() + 1));
+          break;
+        case 2: {  // splice: a prefix of this text, a suffix of another
+          const std::string& other = saved[next(saved.size())];
+          text = text.substr(0, next(text.size() + 1)) +
+                 other.substr(next(other.size() + 1));
+          break;
+        }
+        case 3:  // duplicated line
+          if (!lines.empty()) {
+            const std::size_t l = next(lines.size());
+            lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
+                                             next(lines.size() + 1)),
+                         lines[l]);
+            text = join_lines(lines);
+          }
+          break;
+        case 4:  // dropped line
+          if (!lines.empty()) {
+            lines.erase(lines.begin() +
+                        static_cast<std::ptrdiff_t>(next(lines.size())));
+            text = join_lines(lines);
+          }
+          break;
+        case 5:  // a line's value rewritten to an edge-case token
+          if (!lines.empty()) {
+            std::string& l = lines[next(lines.size())];
+            l = l.substr(0, l.find(' ')) + ' ' + tokens[next(tokens.size())];
+            text = join_lines(lines);
+          }
+          break;
+      }
+    }
+
+    std::istringstream in(text);
+    CapabilityModel m;
+    try {
+      m = CapabilityModel::load(in);
+    } catch (const CheckError&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what() << ":\n"
+                    << text;
+      continue;
+    }
+    ++loaded;
+    try {
+      std::ostringstream first;
+      m.save(first);
+      std::istringstream again(first.str());
+      const CapabilityModel back = CapabilityModel::load(again);
+      EXPECT_TRUE(back == m) << "mutant " << i << ":\n" << text;
+      std::ostringstream second;
+      back.save(second);
+      EXPECT_EQ(second.str(), first.str()) << "mutant " << i;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " loaded but its re-save failed: "
+                    << e.what() << ":\n"
+                    << text;
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(loaded, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(Params, ContentionClampedBelowByRemote) {

@@ -7,17 +7,22 @@
 // coherence protocols, even after torn writes and a hard mid-write kill of
 // the real daemon binary.
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -236,17 +241,17 @@ TEST(RunWithRetry, TotalBackoffCapStopsRetrying) {
 }
 
 TEST(RunWithRetry, BatchReportCountsBackoffCapped) {
-  exec::RecoveryOptions opts;
-  opts.retry.max_attempts = 10;
-  opts.retry.backoff_ms = 100.0;
-  opts.retry.backoff_factor = 1.0;
-  opts.retry.max_total_backoff_ms = 50.0;  // first retry already overruns
-  opts.retry.sleep = false;
+  exec::RetryPolicy rp;
+  rp.max_attempts = 10;
+  rp.backoff_ms = 100.0;
+  rp.backoff_factor = 1.0;
+  rp.max_total_backoff_ms = 50.0;  // first retry already overruns
+  rp.sleep = false;
   std::vector<std::function<void()>> jobs;
   jobs.push_back([] { throw std::bad_alloc(); });
   jobs.push_back([] {});
   const exec::BatchReport rep =
-      exec::run_jobs_recover(std::move(jobs), 1, opts);
+      exec::run_jobs_recover(std::move(jobs), 1, rp);
   EXPECT_EQ(rep.ok, 1u);
   EXPECT_EQ(rep.failed, 1u);
   EXPECT_EQ(rep.backoff_capped, 1u);
@@ -254,13 +259,13 @@ TEST(RunWithRetry, BatchReportCountsBackoffCapped) {
 }
 
 TEST(RunWithRetry, UncappedPolicyKeepsHistoricalSummary) {
-  exec::RecoveryOptions opts;
-  opts.retry.max_attempts = 2;
-  opts.retry.sleep = false;
+  exec::RetryPolicy rp;
+  rp.max_attempts = 2;
+  rp.sleep = false;
   std::vector<std::function<void()>> jobs;
   jobs.push_back([] {});
   const exec::BatchReport rep =
-      exec::run_jobs_recover(std::move(jobs), 1, opts);
+      exec::run_jobs_recover(std::move(jobs), 1, rp);
   EXPECT_EQ(rep.backoff_capped, 0u);
   EXPECT_EQ(rep.summary().find("backoff-capped"), std::string::npos);
 }
@@ -424,6 +429,107 @@ TEST(ResultCache, VersionSkewIsRejectedWithStructuredReason) {
   std::string got, reason;
   EXPECT_FALSE(cache.lookup(11, &got, &reason));
   EXPECT_NE(reason.find("version-mismatch"), std::string::npos);
+}
+
+// Whether thread `tid` of this process is in an interruptible sleep (state
+// 'S' in /proc/self/task/<tid>/stat: blocked in a system call).
+bool thread_sleeping(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/stat");
+  std::string stat;
+  std::getline(in, stat);
+  // "pid (comm) S ...": the state follows the last ')'.
+  const std::size_t paren = stat.rfind(')');
+  return paren != std::string::npos && paren + 2 < stat.size() &&
+         stat[paren + 2] == 'S';
+}
+
+TEST(ResultCache, BlockedReadDoesNotStallOtherKeys) {
+  // Key A's entry is a FIFO, so a lookup of A blocks in open(2) until a
+  // writer appears. Meanwhile a lookup and a store of key B on another
+  // thread must complete: no disk I/O runs under the cache's lock.
+  const std::string dir = make_temp_dir() + "/cache";
+  ResultCache cache(dir);
+  const std::uint64_t a = 0x1000000000000001ull;
+  const std::uint64_t b = 0x2000000000000002ull;
+  const std::string fifo = cache.entry_path(a);
+  ASSERT_EQ(::mkdir(fifo.substr(0, fifo.find_last_of('/')).c_str(), 0755), 0);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+
+  std::string a_reason;
+  std::atomic<pid_t> a_tid{0};
+  auto lookup_a = std::async(std::launch::async, [&] {
+    a_tid = static_cast<pid_t>(::syscall(SYS_gettid));
+    std::string got;
+    return cache.lookup(a, &got, &a_reason);
+  });
+  // Start B only once A's thread sleeps in the kernel, i.e. in its open(2)
+  // of the FIFO: the one blocking call of a lookup.
+  while (a_tid == 0 || !thread_sleeping(a_tid)) std::this_thread::yield();
+  auto other_key = std::async(std::launch::async, [&] {
+    std::string got, reason;
+    const bool before = cache.lookup(b, &got, &reason);
+    cache.store(b, R"({"v":"b"})");
+    return !before && cache.lookup(b, &got, &reason) && got == R"({"v":"b"})";
+  });
+  // The bound only turns a regression into a failure instead of a hang.
+  const bool b_done = other_key.wait_for(std::chrono::seconds(20)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(b_done) << "key B stalled behind the blocked read of key A";
+
+  // Release A: open the write end (which unblocks the reader's open) and
+  // write bytes that are no sealed entry. SIGPIPE is ignored meanwhile, in
+  // case a reader stops reading before the write lands.
+  const auto old_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+  {
+    const int fd = ::open(fifo.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    const std::string junk = "this is not a sealed cache entry";
+    EXPECT_GT(::write(fd, junk.data(), junk.size()), 0);
+    ::close(fd);
+  }
+  std::signal(SIGPIPE, old_sigpipe);
+  EXPECT_FALSE(lookup_a.get());
+  EXPECT_TRUE(other_key.get());
+  // A is quarantined as before: moved aside with its reason.
+  EXPECT_EQ(a_reason.rfind("bad-magic", 0), 0u) << a_reason;
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(::access(fifo.c_str(), F_OK), -1);
+  EXPECT_EQ(::access(cache.quarantine_path(a).c_str(), F_OK), 0);
+  EXPECT_EQ(cache.stats().stores, 1u);
+}
+
+TEST(ResultCache, QuarantineLeavesAnEntryReplacedAfterTheRead) {
+  // A lookup that read corrupt bytes must not move aside the good entry a
+  // concurrent store published after that read. The store lands while the
+  // lookup is blocked reading key A's FIFO: the FIFO's bytes are corrupt,
+  // but the path then names the stored entry.
+  const std::string dir = make_temp_dir() + "/cache";
+  ResultCache cache(dir);
+  const std::uint64_t a = 0x3000000000000003ull;
+  const std::string fifo = cache.entry_path(a);
+  ASSERT_EQ(::mkdir(fifo.substr(0, fifo.find_last_of('/')).c_str(), 0755), 0);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  // Opening the write end non-blocking fails until a reader has the FIFO
+  // open, so the loop below ends exactly when the lookup holds it.
+  auto lookup_a = std::async(std::launch::async, [&] {
+    std::string got, reason;
+    return cache.lookup(a, &got, &reason);
+  });
+  int fd = -1;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(fd, 0);
+  cache.store(a, R"({"v":"fresh"})");  // renames a new file over the FIFO
+  ::close(fd);                         // EOF: the lookup read 0 bytes
+  EXPECT_FALSE(lookup_a.get());
+  EXPECT_EQ(cache.stats().corrupt, 0u);
+  EXPECT_EQ(::access(cache.quarantine_path(a).c_str(), F_OK), -1);
+  std::string got, reason;
+  ASSERT_TRUE(cache.lookup(a, &got, &reason));
+  EXPECT_EQ(got, R"({"v":"fresh"})");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // machine states across every preset/protocol/memory mode, structured
 // rejection (SnapError, never UB) of truncated and bit-flipped inputs,
 // version/config-skew messages, fork identity/divergence semantics, and
-// the forked-experiment recovery contract (aborts after restore are
+// the recovery contract for forked jobs (aborts after restore are
 // retried/quarantined exactly like cold-start jobs, BatchReport
 // byte-identical at any worker count). The whole-run restore-identity
 // sweep lives in test_restore_identity.cpp.
@@ -15,7 +15,7 @@
 
 #include "check/differ.hpp"
 #include "common/fnv.hpp"
-#include "exec/forked.hpp"
+#include "exec/experiment.hpp"
 #include "sim/machine.hpp"
 #include "snap/snapshot.hpp"
 
@@ -525,65 +525,79 @@ TEST(SnapFork, InconsistentL1ResidencyIsRefused) {
   EXPECT_THROW(fork(no_l2_bit, cfg, 0), CheckError);
 }
 
-/// Forked experiments under the recovery layer: a trial that aborts after
-/// restore is retried/quarantined exactly like a cold-start job, and the
-/// BatchReport is byte-identical at any worker count.
+/// Forked jobs under the recovery layer: a job that forks a warmed snapshot
+/// and aborts after restore is retried/quarantined exactly like a cold-start
+/// job, and the BatchReport is byte-identical at any worker count.
 TEST(SnapForkRecovery, AbortAfterRestoreQuarantinesLikeColdStart) {
   const MachineConfig cfg = sim::machine_preset(
       "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
-
-  const auto build = [&] {
-    exec::ForkedExperiment<int, std::vector<std::uint8_t>, std::uint64_t> e;
-    e.configs = {0, 1};
-    e.trials = 3;
-    e.base_seed = 9;
-    e.warm = [&cfg](const int& which, int) {
-      MachineConfig c = cfg;
-      c.seed = 100 + static_cast<std::uint64_t>(which);
-      Machine m(c);
-      const sim::Addr buf = m.alloc("w", 16 * kLineBytes, {}, true);
-      m.add_thread({.core = 0, .smt = 0},
-                   [buf](sim::Ctx& ctx) -> sim::Task {
-                     for (int i = 0; i < 16; ++i) {
-                       co_await ctx.write_u64(
-                           buf + static_cast<std::uint64_t>(i) *
-                                     kLineBytes,
-                           7);
-                     }
-                   });
-      m.run();
-      return encode(capture(m), c);
-    };
-    e.measure = [&cfg](const int& which, const std::vector<std::uint8_t>& b,
-                       const exec::Trial& trial) -> std::uint64_t {
-      MachineConfig c = cfg;
-      c.seed = 100 + static_cast<std::uint64_t>(which);
-      std::unique_ptr<Machine> m =
-          fork(decode(b, c), c, trial.seed | 1);
-      // Deterministic injected failure in exactly one restored trial: the
-      // recovery layer must classify it deterministic and quarantine it
-      // without retrying, exactly as it would a cold-start job.
-      CAPMEM_CHECK_MSG(!(which == 1 && trial.index == 1),
-                       "injected abort after restore");
-      m->add_thread({.core = 0, .smt = 0},
-                    [](sim::Ctx& ctx) -> sim::Task {
-                      co_await ctx.compute(5.0);
-                    });
-      m->run();
-      return m->engine().steps();
-    };
-    e.reduce = [](const int&, std::vector<std::uint64_t>&& v) {
-      std::uint64_t sum = 0;
-      for (std::uint64_t x : v) sum += x;
-      return sum;
-    };
-    return e;
+  constexpr int kConfigs = 2;
+  constexpr int kTrials = 3;
+  const auto config_of = [&cfg](int which) {
+    MachineConfig c = cfg;
+    c.seed = 100 + static_cast<std::uint64_t>(which);
+    return c;
   };
 
-  exec::RecoveryOptions ro;
-  ro.retry.sleep = false;
-  const auto [r1, rep1] = exec::try_run_experiment_forked(build(), 1, ro);
-  const auto [r4, rep4] = exec::try_run_experiment_forked(build(), 4, ro);
+  const auto run = [&](int workers) {
+    // One warmed prefix per config, encoded once...
+    const std::vector<std::vector<std::uint8_t>> warmed =
+        exec::parallel_map<std::vector<std::uint8_t>>(
+            kConfigs, workers, [&config_of](int which) {
+              const MachineConfig c = config_of(which);
+              Machine m(c);
+              const sim::Addr buf = m.alloc("w", 16 * kLineBytes, {}, true);
+              m.add_thread({.core = 0, .smt = 0},
+                           [buf](sim::Ctx& ctx) -> sim::Task {
+                             for (int i = 0; i < 16; ++i) {
+                               co_await ctx.write_u64(
+                                   buf + static_cast<std::uint64_t>(i) *
+                                             kLineBytes,
+                                   7);
+                             }
+                           });
+              m.run();
+              return encode(capture(m), c);
+            });
+    // ...then forked inside every (config, trial) job.
+    exec::RetryPolicy rp;
+    rp.sleep = false;
+    auto [steps, rep] = exec::try_parallel_map<std::uint64_t>(
+        kConfigs * kTrials, workers,
+        [&](int job) -> std::uint64_t {
+          const int which = job / kTrials;
+          const int trial = job % kTrials;
+          const MachineConfig c = config_of(which);
+          std::unique_ptr<Machine> m =
+              fork(decode(warmed[static_cast<std::size_t>(which)], c), c,
+                   exec::derive_seed(9, static_cast<std::uint64_t>(which),
+                                     static_cast<std::uint64_t>(trial)) |
+                       1);
+          // Deterministic injected failure in exactly one restored trial:
+          // the recovery layer must classify it deterministic and
+          // quarantine it without retrying, exactly as it would a
+          // cold-start job.
+          CAPMEM_CHECK_MSG(!(which == 1 && trial == 1),
+                           "injected abort after restore");
+          m->add_thread({.core = 0, .smt = 0},
+                        [](sim::Ctx& ctx) -> sim::Task {
+                          co_await ctx.compute(5.0);
+                        });
+          m->run();
+          return m->engine().steps();
+        },
+        rp);
+    // Per-config sums in trial order; a quarantined trial counts 0.
+    std::vector<std::uint64_t> sums(kConfigs, 0);
+    for (int job = 0; job < kConfigs * kTrials; ++job) {
+      sums[static_cast<std::size_t>(job / kTrials)] +=
+          steps[static_cast<std::size_t>(job)];
+    }
+    return std::make_pair(sums, std::move(rep));
+  };
+
+  const auto [r1, rep1] = run(1);
+  const auto [r4, rep4] = run(4);
 
   EXPECT_EQ(r1, r4) << "results must be bit-identical at any worker count";
   EXPECT_EQ(rep1.summary(), rep4.summary());
@@ -605,8 +619,10 @@ TEST(SnapForkRecovery, AbortAfterRestoreQuarantinesLikeColdStart) {
       CAPMEM_CHECK_MSG(j != 4, "injected abort after restore");
     });
   }
+  exec::RetryPolicy rp;
+  rp.sleep = false;
   const exec::BatchReport cold_rep =
-      exec::run_jobs_recover(std::move(cold), 2, ro);
+      exec::run_jobs_recover(std::move(cold), 2, rp);
   ASSERT_EQ(cold_rep.failures.size(), 1u);
   EXPECT_EQ(cold_rep.failures[0].job, rep1.failures[0].job);
   EXPECT_EQ(cold_rep.failures[0].status, rep1.failures[0].status);
