@@ -33,6 +33,11 @@
 // self-contained repro to --repro-out, optionally re-runs it into a Chrome
 // trace (--trace-on-divergence), and exits 1. A sweep whose only failures
 // are quarantined aborts exits 2 with a partial-results summary.
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -40,7 +45,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <tuple>
 #include <vector>
 
@@ -78,26 +86,115 @@ std::vector<ConfigCell> all_configs() {
 // Completed-cell ledger: one "P|Q <pass> <config> <trial> [<snapshot-id>]"
 // line per finished cell (P = passed, Q = quarantined). The optional fifth
 // field is the snap::snapshot_id of the cell's mid-run capture under
-// --warm-snapshot — the same naming scheme the warm-start caches use, so
-// there is exactly one cache-key convention. Divergent cells are never
-// checkpointed — a resumed sweep re-runs them and fails again.
+// --warm-snapshot. Divergent cells are never checkpointed — a resumed sweep
+// re-runs them and fails again.
 using CellKey = std::tuple<int, std::size_t, std::size_t>;
 
-std::map<CellKey, char> load_checkpoint(const std::string& path) {
-  std::map<CellKey, char> done;
-  if (path.empty()) return done;
-  std::ifstream in(path);
-  char status = 0;
+/// Parses a whole token of decimal digits into `v`; false on anything else
+/// (sign, other characters, overflow of T).
+template <class T>
+bool parse_digits(std::string_view s, T& v) {
+  if (s.empty() || s.front() < '0' || s.front() > '9') return false;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  return ec == std::errc() && end == s.data() + s.size();
+}
+
+/// Records one ledger line in `done`; false, recording nothing, unless the
+/// line is exactly "P|Q <int> <int> <int>" with an optional " snap-<16
+/// hex>" (resume keys only on pass, config and trial).
+bool parse_ledger_line(std::string_view line,
+                       std::map<CellKey, char>& done) {
+  std::vector<std::string_view> f;
+  for (std::size_t pos = 0;;) {
+    const std::size_t sp = line.find(' ', pos);
+    f.push_back(line.substr(pos, sp - pos));
+    if (sp == std::string_view::npos) break;
+    pos = sp + 1;
+  }
+  if (f.size() != 4 && f.size() != 5) return false;
+  if (f[0] != "P" && f[0] != "Q") return false;
   int pass = 0;
   std::size_t cell = 0, trial = 0;
-  while (in >> status >> pass >> cell >> trial) {
-    // Accept both the historical 4-field lines and the 5-field lines that
-    // carry a snapshot id: resume only keys on (pass, cell, trial).
-    std::string rest;
-    std::getline(in, rest);
-    if (status == 'P' || status == 'Q') done[{pass, cell, trial}] = status;
+  if (!parse_digits(f[1], pass) || !parse_digits(f[2], cell) ||
+      !parse_digits(f[3], trial)) {
+    return false;
   }
-  return done;
+  if (f.size() == 5) {
+    const std::string_view id = f[4];
+    if (id.size() != 21 || id.substr(0, 5) != "snap-" ||
+        id.find_first_not_of("0123456789abcdef", 5) != std::string_view::npos) {
+      return false;
+    }
+  }
+  done[{pass, cell, trial}] = f[0][0];
+  return true;
+}
+
+struct Checkpoint {
+  std::map<CellKey, char> done;
+  std::string text;  ///< the well-formed lines, each ending in '\n'
+};
+
+/// Reads the ledger line by line. A final line without '\n' is a write a
+/// crash cut short and is dropped; so is every malformed line.
+Checkpoint load_checkpoint(const std::string& path) {
+  Checkpoint c;
+  std::vector<std::uint8_t> bytes;
+  if (!common::read_file(path, &bytes)) return c;
+  const std::string_view all(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size());
+  for (std::size_t pos = 0, nl; (nl = all.find('\n', pos)) != all.npos;
+       pos = nl + 1) {
+    const std::string_view line = all.substr(pos, nl - pos);
+    if (parse_ledger_line(line, c.done)) {
+      c.text += line;
+      c.text += '\n';
+    }
+  }
+  return c;
+}
+
+/// Append-only handle on the ledger: one write(2) of one whole line per
+/// completed cell under the lock, then an fsync outside it, so workers
+/// serialize only on the write. A crash tears at most the last line, which
+/// the next load drops.
+class LedgerFile {
+ public:
+  explicit LedgerFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC)) {}
+  ~LedgerFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  LedgerFile(const LedgerFile&) = delete;
+  LedgerFile& operator=(const LedgerFile&) = delete;
+
+  bool is_open() const { return fd_ >= 0; }
+
+  /// Appends `line` (which ends in '\n') durably; false, with errno set,
+  /// when a write or the fsync fails.
+  bool append(const std::string& line) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      for (std::size_t off = 0; off < line.size();) {
+        const ssize_t n =
+            ::write(fd_, line.data() + off, line.size() - off);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          return false;
+        }
+        off += static_cast<std::size_t>(n);
+      }
+    }
+    return ::fsync(fd_) == 0;
+  }
+
+ private:
+  int fd_;
+  std::mutex mu_;  // one line per write: appends never interleave
+};
+
+std::string errno_text() {
+  return std::error_code(errno, std::generic_category()).message();
 }
 
 // One quarantined cell of this run.
@@ -194,31 +291,25 @@ int main(int argc, char** argv) {
     return spec;
   };
 
-  std::map<CellKey, char> done = load_checkpoint(checkpoint_path);
-  // The ledger lives in memory and is rewritten whole through the crash-
-  // safe atomic path (common/atomic_file.hpp) on every completion, so a
-  // kill at any instant leaves either the previous complete ledger or the
-  // new complete ledger on disk — the old append-mode stream could die
-  // mid-line and poison the next resume's parse.
-  std::vector<std::string> ledger_lines;
-  std::mutex ledger_mu;
-  const bool ledger_on = !checkpoint_path.empty();
-  if (ledger_on) {
-    std::ifstream prior(checkpoint_path);
-    std::string line;
-    while (std::getline(prior, line)) {
-      if (!line.empty()) ledger_lines.push_back(line);
-    }
-    std::string text;
-    for (const std::string& l : ledger_lines) {
-      text += l;
-      text += '\n';
-    }
+  std::map<CellKey, char> done;
+  // The prior ledger's well-formed lines are rewritten through the atomic
+  // path (common/atomic_file.hpp) before any append, so new lines never
+  // extend a torn or malformed one.
+  std::optional<LedgerFile> ledger;
+  if (!checkpoint_path.empty()) {
     try {
-      common::atomic_write_file(checkpoint_path, text);
+      Checkpoint prior = load_checkpoint(checkpoint_path);
+      done = std::move(prior.done);
+      common::atomic_write_file(checkpoint_path, prior.text);
     } catch (const std::exception& e) {
       std::cerr << "cannot write checkpoint '" << checkpoint_path
                 << "': " << e.what() << '\n';
+      return 64;
+    }
+    ledger.emplace(checkpoint_path);
+    if (!ledger->is_open()) {
+      std::cerr << "cannot open checkpoint '" << checkpoint_path
+                << "': " << errno_text() << '\n';
       return 64;
     }
   }
@@ -297,23 +388,16 @@ int main(int argc, char** argv) {
             opts.snapshot_at_step = 1 + spec.seed % 2048;
           }
           DiffOutcome o = run_diff(spec, nullptr, obs.attr(), opts);
-          if (ledger_on && (o.ok || o.aborted)) {
+          if (ledger && (o.ok || o.aborted)) {
             std::ostringstream entry;
             entry << (o.ok ? 'P' : 'Q') << ' ' << pass << ' ' << cell
                   << ' ' << trial;
             if (!o.snapshot_id.empty()) entry << ' ' << o.snapshot_id;
-            std::lock_guard<std::mutex> lk(ledger_mu);
-            ledger_lines.push_back(entry.str());
-            std::string text;
-            for (const std::string& l : ledger_lines) {
-              text += l;
-              text += '\n';
-            }
-            try {
-              common::atomic_write_file(checkpoint_path, text);
-            } catch (const std::exception& e) {
+            entry << '\n';
+            if (!ledger->append(entry.str())) {
               // Checkpointing is an optimization; the cell result stands.
-              std::cerr << "checkpoint write failed: " << e.what() << '\n';
+              std::cerr << "checkpoint write failed: " << errno_text()
+                        << '\n';
             }
           }
           return o;

@@ -295,7 +295,7 @@ void BM_SnapDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapDigest)->Unit(benchmark::kMicrosecond);
 
-// The copy alone: what encode and fork pay before they start.
+// The copy alone: what encode pays before it starts.
 void BM_SnapCapture(benchmark::State& state) {
   check::WorkloadRun run(snap_spec(), nullptr);
   run.run_until(400);

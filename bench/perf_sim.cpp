@@ -6,7 +6,8 @@
 // bit-identical across reps — a mismatch is a determinism bug and exits
 // nonzero. Wall-clock numbers are informational only and never gate.
 //
-// Workloads (sized so a full run finishes in ~a minute on one core):
+// Workloads (a full run takes about a second on one x86 core, --quick a
+// twentieth of that):
 //   barrier  dissemination barrier rounds over per-(thread,stage) flag
 //            lines — park/unpark and run-queue heavy (the fig6 shape).
 //   triad    per-thread private STREAM-triad buffers — channel reservation
@@ -18,16 +19,7 @@
 // goldens golden_perf_sim_quick, golden_perf_sim and
 // golden_perf_sim_quick_{mesi,mosi} compare exactly those lines against
 // tests/golden/perf_sim*.txt, so a simulated-timing change fails tier-1.
-//
-// --warm-snapshot appends a warm-start sweep: one machine executes a warm
-// prefix (the mixed workload), its quiescent state is captured once with
-// capmem::snap, and --forks measurement cells are forked from it — vs a
-// cold baseline that re-executes the prefix per cell. Both paths go
-// through snap::fork, so their virtual-time results are CHECK-identical;
-// only wall clock differs, and the speedup N*(W+M) / (W+N*M) is printed
-// on the "warm-start" lines.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +30,6 @@
 #include "exec/host.hpp"
 #include "sim/config.hpp"
 #include "sim/machine.hpp"
-#include "snap/snapshot.hpp"
 
 using namespace capmem;
 using namespace capmem::sim;
@@ -125,10 +116,9 @@ void build_triad(Machine& m, int nthreads, int iters,
 /// Random single-line traffic over one shared buffer: mostly loads, some
 /// stores, occasional fetch_add — stresses the directory and line tables
 /// with an adversarial (hash-scattered) access pattern.
-void build_mixed(Machine& m, int nthreads, int ops, std::uint64_t seed,
-                 const char* buf_name = "shared") {
+void build_mixed(Machine& m, int nthreads, int ops, std::uint64_t seed) {
   const std::uint64_t lines = 4096;
-  const Addr buf = m.alloc(buf_name, lines * kLineBytes, {},
+  const Addr buf = m.alloc("shared", lines * kLineBytes, {},
                            /*with_data=*/true);
   for (int i = 0; i < nthreads; ++i) {
     m.add_thread({.core = i % 64, .smt = i / 64}, [=](Ctx& ctx) -> Task {
@@ -183,77 +173,6 @@ CellResult run_cell(const CellSpec& spec, const Sizes& sz, int reps,
   return r;
 }
 
-struct WarmStart {
-  int forks = 0;
-  std::string snapshot_id;
-  std::uint64_t snapshot_bytes = 0;
-  double cold_wall_s = 0;  ///< N x (warm prefix + fork + measure)
-  double warm_wall_s = 0;  ///< 1 x warm prefix + N x (fork + measure)
-  double speedup = 0;
-  std::uint64_t prefix_steps = 0;     ///< steps in the shared warm prefix
-  std::uint64_t measure_steps = 0;    ///< total steps across the N forks
-};
-
-/// Warm-start sweep: the mixed workload as the warm prefix, barrier cells
-/// as the forked measurements. The cold baseline re-runs the prefix per
-/// cell but still forks from its snapshot — identical measurement results
-/// by construction, so any cold/warm divergence is a snapshot bug.
-WarmStart run_warm_start(const Sizes& sz, int forks, std::uint64_t seed,
-                         Protocol protocol) {
-  WarmStart w;
-  w.forks = forks;
-  MachineConfig cfg = knl7210(ClusterMode::kQuadrant, MemoryMode::kFlat);
-  cfg.protocol = protocol;
-
-  const auto warm_bytes = [&] {
-    Machine m(cfg);
-    build_mixed(m, sz.mixed_threads, sz.mixed_ops, seed, "warm");
-    m.run();
-    w.prefix_steps = m.engine().steps();
-    return snap::encode(snap::capture(m), cfg);
-  };
-  const auto measure = [&](const std::vector<std::uint8_t>& bytes,
-                           std::uint64_t fork_seed) {
-    const state::MachineState s = snap::decode(bytes, cfg);
-    std::unique_ptr<Machine> m = snap::fork(s, cfg, fork_seed);
-    build_barrier(*m, sz.barrier_threads, sz.barrier_iters);
-    m->run();
-    return std::pair<std::uint64_t, Nanos>{m->engine().steps(),
-                                           m->elapsed()};
-  };
-
-  // Cold baseline: every measurement cell pays the warm prefix again.
-  std::vector<std::pair<std::uint64_t, Nanos>> cold;
-  double t0 = exec::host_now_seconds();
-  for (int f = 1; f <= forks; ++f) {
-    cold.push_back(measure(warm_bytes(), static_cast<std::uint64_t>(f)));
-  }
-  w.cold_wall_s = exec::host_now_seconds() - t0;
-
-  // Warm: one prefix, one capture, N forks.
-  t0 = exec::host_now_seconds();
-  const std::vector<std::uint8_t> bytes = warm_bytes();
-  std::vector<std::pair<std::uint64_t, Nanos>> warm;
-  for (int f = 1; f <= forks; ++f) {
-    warm.push_back(measure(bytes, static_cast<std::uint64_t>(f)));
-  }
-  w.warm_wall_s = exec::host_now_seconds() - t0;
-
-  w.snapshot_id = snap::snapshot_id(bytes);
-  w.snapshot_bytes = bytes.size();
-  for (int f = 0; f < forks; ++f) {
-    const std::size_t fi = static_cast<std::size_t>(f);
-    CAPMEM_CHECK_MSG(
-        cold[fi] == warm[fi],
-        "warm-started fork " << (f + 1) << " diverged from cold: steps "
-        << warm[fi].first << " vs " << cold[fi].first << ", virt "
-        << warm[fi].second << " vs " << cold[fi].second);
-    w.measure_steps += warm[fi].first;
-  }
-  w.speedup = w.warm_wall_s > 0 ? w.cold_wall_s / w.warm_wall_s : 0.0;
-  return w;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -267,12 +186,6 @@ int main(int argc, char** argv) {
   const Protocol protocol = parse_protocol(cli.get_string(
       "protocol", "mesif",
       "coherence protocol for every cell (mesif, mesi, mosi)"));
-  const bool warm_snapshot = cli.get_flag(
-      "warm-snapshot", false,
-      "append a warm-start sweep: fork --forks measurement cells from one "
-      "captured warm prefix vs re-running the prefix per cell");
-  const int forks = static_cast<int>(cli.get_int(
-      "forks", 8, "measurement cells forked from the warm snapshot"));
   cli.finish();
 
   const Sizes sz = quick ? quick_sizes() : full_sizes();
@@ -309,17 +222,6 @@ int main(int argc, char** argv) {
     std::printf("CHECKSUM %s %s steps=%llu virt_ns=%.17g\n",
                 spec.workload.c_str(), to_string(spec.mode),
                 static_cast<unsigned long long>(r.steps), r.virt_ns);
-  }
-  if (warm_snapshot) {
-    const WarmStart warm = run_warm_start(sz, forks, seed, protocol);
-    std::printf("warm-start forks=%d snapshot=%s (%llu bytes) "
-                "prefix_steps=%llu measure_steps=%llu\n",
-                warm.forks, warm.snapshot_id.c_str(),
-                static_cast<unsigned long long>(warm.snapshot_bytes),
-                static_cast<unsigned long long>(warm.prefix_steps),
-                static_cast<unsigned long long>(warm.measure_steps));
-    std::printf("warm-start cold=%.3fs warm=%.3fs speedup=%.2fx\n",
-                warm.cold_wall_s, warm.warm_wall_s, warm.speedup);
   }
   std::printf("peak_rss_bytes=%llu\n",
               static_cast<unsigned long long>(exec::host_peak_rss_bytes()));

@@ -6,7 +6,8 @@
 //     directory, so a reader (or a process that died mid-write and was
 //     restarted) sees either the complete old bytes or the complete new
 //     bytes, never a torn prefix. This is the write path of the serve-layer
-//     result cache and of the fuzz_diff --checkpoint ledger.
+//     result cache and of the fuzz_diff --checkpoint ledger's rewrite on
+//     resume.
 //
 //   * seal/unseal: a checksummed envelope ("CAPFILE1" magic, caller version
 //     word, payload length, FNV-1a checksum — the same codec discipline as
@@ -16,7 +17,7 @@
 //     decoded into garbage.
 //
 // Neither helper retries: callers that can recover (the serve cache
-// quarantines and recomputes; the ledger rewrites next checkpoint) decide
+// quarantines and recomputes; the ledger re-runs a cell it lost) decide
 // policy; this file only guarantees detection and atomicity.
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -113,6 +114,11 @@ int Cli::get_jobs(int def) {
   if (v <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
+  }
+  if (v > std::numeric_limits<int>::max()) {
+    errors_.push_back("--jobs " + std::to_string(v) + " exceeds " +
+                      std::to_string(std::numeric_limits<int>::max()));
+    return def;
   }
   return static_cast<int>(v);
 }

@@ -43,7 +43,8 @@ class Cli {
   /// Declares and reads the shared `--jobs` option: host worker threads for
   /// parallel experiment execution (exec::Pool). 0 resolves to the host's
   /// hardware concurrency; the default 1 is the serial reference path.
-  /// Results are bit-identical for every value.
+  /// A value above INT_MAX is a usage error. Results are bit-identical for
+  /// every value.
   int get_jobs(int def = 1);
   /// Declares and reads the shared `--log-level {error,warn,info,debug}`
   /// option. The flag overrides $CAPMEM_LOG; when absent the environment

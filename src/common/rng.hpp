@@ -86,17 +86,9 @@ class Rng {
   /// Lognormal multiplier with median 1 and shape sigma: exp(sigma * N(0,1)).
   double lognormal_factor(double sigma) { return std::exp(sigma * normal()); }
 
-  /// Raw 256-bit state, for checkpoint/restore (capmem::snap). Restoring
-  /// the words restores the exact draw sequence.
+  /// Raw 256-bit state, captured into snapshots (capmem::snap).
   std::array<std::uint64_t, 4> state_words() const {
     return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state_words(const std::array<std::uint64_t, 4>& w) {
-    // The all-zero state is xoshiro's one fixed point (every draw would be
-    // 0); it cannot arise from reseed() or stepping, only from corruption.
-    CAPMEM_CHECK_MSG(w[0] | w[1] | w[2] | w[3],
-                     "refusing all-zero xoshiro256** state");
-    for (int i = 0; i < 4; ++i) s_[static_cast<std::size_t>(i)] = w[i];
   }
 
  private:
@@ -105,25 +97,5 @@ class Rng {
   }
   std::uint64_t s_[4]{};
 };
-
-/// XORs a splitmix64-derived word sequence keyed by `fork_seed` into a
-/// xoshiro256** state, yielding a decorrelated stream per distinct seed.
-/// snap::fork() perturbs a forked machine's engine RNG with it, so sibling
-/// forks draw independent streams. fork_seed == 0 is the identity only when
-/// the splitmix sequence happens to XOR to zero — callers wanting "no
-/// perturbation" should simply not call this.
-inline void perturb_stream(std::array<std::uint64_t, 4>& w,
-                           std::uint64_t fork_seed) {
-  std::uint64_t x = fork_seed;
-  for (auto& word : w) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    word ^= z ^ (z >> 31);
-  }
-  // The all-zero state is xoshiro's fixed point; keep the stream live.
-  if ((w[0] | w[1] | w[2] | w[3]) == 0) w[0] = 1;
-}
 
 }  // namespace capmem

@@ -80,8 +80,9 @@ int get_int(const Json& obj, const std::string& key, int fallback, int lo,
 
 std::uint64_t get_u64(const Json& obj, const std::string& key,
                       std::uint64_t fallback) {
+  // The largest double below 2^64: converting 2^64 itself is undefined.
   const double d = get_number(obj, key, static_cast<double>(fallback), 0,
-                              1.8446744073709552e19);
+                              18446744073709549568.0);
   if (d != std::floor(d)) invalid("field '" + key + "' must be an integer");
   return static_cast<std::uint64_t>(d);
 }
@@ -208,9 +209,11 @@ Request parse_request(const std::string& line) {
       std::vector<double> out;
       out.reserve(arr->elements().size());
       for (const Json& v : arr->elements()) {
-        if (!v.is_number()) {
+        // An overflowing literal such as 1e999 parses to infinity, which
+        // the canonical body could only dump as null.
+        if (!v.is_number() || !std::isfinite(v.as_number())) {
           invalid(std::string("field '") + key +
-                  "' must contain only numbers");
+                  "' must contain only finite numbers");
         }
         out.push_back(v.as_number());
       }

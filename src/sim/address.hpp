@@ -72,16 +72,9 @@ class AddressSpace {
   const Allocation& find(Addr a) const;
   bool valid(Addr a) const;
 
-  /// First allocation named `name`, or nullptr. Forked measurement
-  /// programs use it to locate the warm run's buffers by name, so a warm
-  /// prefix and its forks agree on addresses without side channels.
-  const Allocation* find_by_name(const std::string& name) const;
-
   /// Checkpoint support (capmem::snap): the full table including backing
-  /// bytes, plus the bump cursor. Import rebuilds the table so restored
-  /// addresses stay valid; only legal on a freshly constructed space.
+  /// bytes, plus the bump cursor.
   state::SpaceState export_state() const;
-  void import_state(const state::SpaceState& s);
 
   /// Raw data access for data-carrying allocations. `bytes` must stay
   /// inside one allocation.

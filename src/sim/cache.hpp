@@ -120,15 +120,8 @@ class SetAssocCache {
   /// and the tag and LRU planes, held live as the one state::CacheState, so
   /// the snapshot digest reads them in place and an export copies them.
   /// The plane layout is position-deterministic (set index, way order), so
-  /// exports are byte-stable across processes. Import requires matching
-  /// geometry — snapshots only restore onto the config they captured.
+  /// exports are byte-stable across processes.
   const state::CacheState& state() const { return st_; }
-  void import_state(const state::CacheState& s) {
-    CAPMEM_CHECK_MSG(s.lines.size() == st_.lines.size() &&
-                         s.stamps.size() == st_.stamps.size(),
-                     "cache snapshot geometry mismatch");
-    st_ = s;
-  }
 
  private:
   std::size_t set_index(Line line) const {

@@ -145,9 +145,8 @@ class Directory {
 
   /// Checkpoint support (capmem::snap). Entries export sorted by line (page
   /// iteration order depends on insert history); the memoized physical
-  /// target is derived data and recomputed lazily after import.
+  /// target is derived data and not exported.
   std::vector<state::DirEntryState> export_state() const;
-  void import_state(const std::vector<state::DirEntryState>& entries);
 
  private:
   LinePages<LineEntry> map_;

@@ -250,19 +250,6 @@ state::EngineState Engine::export_state() const {
   return s;
 }
 
-void Engine::import_quiescent(const state::EngineState& s) {
-  CAPMEM_CHECK_MSG(tasks_.empty() && run_q_.empty() && !running_,
-                   "import_quiescent needs a fresh engine");
-  CAPMEM_CHECK_MSG(s.queue.empty() && s.live == 0 && s.parked.empty() &&
-                       s.sync_q.empty(),
-                   "snapshot is not quiescent: live scheduler state cannot "
-                   "be installed (restore by replaying to the cursor)");
-  global_time_ = s.global_time;
-  steps_ = s.steps;
-  run_q_.set_next_seq(s.queue_seq);
-  rng_.set_state_words(s.rng);
-}
-
 void Engine::watchdog_check() {
   if (wd_.max_steps != 0 && steps_ > wd_.max_steps) {
     std::ostringstream r;

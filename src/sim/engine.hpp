@@ -138,12 +138,6 @@ class Engine {
   /// park table and barrier arrivals — in deterministic order.
   state::EngineState export_state() const;
 
-  /// Restores counters/clock/RNG from a *quiescent* snapshot (no live
-  /// tasks, empty queue — coroutine frames cannot be deserialized; mid-run
-  /// state is restored by replaying to the capture cursor instead). Must be
-  /// called before any spawn.
-  void import_quiescent(const state::EngineState& s);
-
   /// Arms (or disarms, with an all-zero budget) the watchdog. Must be set
   /// before run(); the disabled path costs one branch per step.
   void set_watchdog(const WatchdogBudget& b) {

@@ -79,12 +79,6 @@ class EventQueue {
   /// Push sequence counter: part of the engine's deterministic identity
   /// (equal-timestamp pops break ties on it), so checkpoints carry it.
   std::uint64_t next_seq() const { return seq_; }
-  /// Restores the counter; only legal on an empty queue (a quiescent
-  /// install — live entries would alias restored sequence numbers).
-  void set_next_seq(std::uint64_t seq) {
-    CAPMEM_CHECK(empty());
-    seq_ = seq;
-  }
 
   Entry pop_min() {
     CAPMEM_DCHECK(!empty());

@@ -362,9 +362,6 @@ bool Machine::run_until(std::uint64_t step_limit) {
     for (std::size_t i = 0; i < programs_.size(); ++i) {
       Ctx& ctx = ctxs_[i];
       Task t = programs_[i](ctx);
-      // Tasks start at the engine's current time, not 0: on a machine
-      // warmed from a snapshot the clock already advanced, and new
-      // programs must join the schedule *after* the captured prefix.
       const int tid = engine_.spawn(std::move(t), engine_.now());
       ctx.tid_ = tid;
       if (obs_) {
@@ -389,20 +386,6 @@ state::MachineState Machine::export_state(bool with_cache_planes) const {
                     ? 1
                     : 0;
   return s;
-}
-
-void Machine::install_state(const state::MachineState& s) {
-  CAPMEM_CHECK_MSG(!ran_ && programs_.empty(),
-                   "install_state requires a fresh machine (no registered "
-                   "threads, never run)");
-  CAPMEM_CHECK_MSG(
-      s.quiescent != 0,
-      "only quiescent snapshots install directly (coroutine frames cannot "
-      "be deserialized); restore mid-run snapshots by replay-to-cursor");
-  engine_.import_quiescent(s.engine);
-  mem_.import_state(s.mem);
-  space_.import_state(s.space);
-  invalidate_alloc_memos();
 }
 
 void Machine::flush_buffer(Addr base, std::uint64_t bytes,

@@ -258,17 +258,10 @@ class Machine {
   bool run_until(std::uint64_t step_limit);
 
   /// Checkpoint support (capmem::snap): exports engine + memory system +
-  /// address space. Quiescent (completed/never-started) machines are
-  /// restorable via install_state; paused machines export for digesting
-  /// and differential verification. `with_cache_planes` false leaves the
-  /// L1/L2 planes out (see MemSystem::export_state).
+  /// address space, at any pause point, for digesting and differential
+  /// verification. `with_cache_planes` false leaves the L1/L2 planes out
+  /// (see MemSystem::export_state).
   state::MachineState export_state(bool with_cache_planes = true) const;
-
-  /// Installs a quiescent snapshot into this machine. Must be called
-  /// before add_thread/run: programs registered afterwards start at the
-  /// snapshot's virtual time with the snapshot's caches, directory,
-  /// channel queues, allocations and RNG streams.
-  void install_state(const state::MachineState& s);
 
   /// Virtual time at which the last event executed.
   Nanos elapsed() const { return engine_.now(); }
@@ -280,7 +273,7 @@ class Machine {
   /// Placement of the allocation containing `a` (cached lookup).
   const Allocation& allocation_of(Addr a);
 
-  /// Changes whenever the address space does (alloc, free, state import).
+  /// Changes whenever the address space does (alloc, free).
   /// Awaiters that resolve allocations or backing bytes once per op compare
   /// it to know their resolution is still current.
   std::uint64_t space_epoch() const { return space_epoch_; }

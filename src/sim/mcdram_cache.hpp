@@ -56,7 +56,6 @@ class McdramCache {
   /// Checkpoint support (capmem::snap). The hash-ordered tag table is
   /// sorted by set on export so snapshots are byte-stable across processes.
   state::McdramState export_state() const;
-  void import_state(const state::McdramState& s);
 
  private:
   std::uint64_t set_of(Line line) const { return line % sets_count_; }

@@ -105,7 +105,6 @@ class MemSystem {
   /// the L1/L2 planes are left out (`l1`/`l2` empty) — the live snapshot
   /// digest reads them in place through l1_caches()/l2_caches().
   state::MemSysState export_state(bool with_cache_planes = true) const;
-  void import_state(const state::MemSysState& s);
 
   const ThreadCounters& counters(int tid) const { return counters_.at(tid); }
   void clear_counters();

@@ -45,10 +45,6 @@ class Reservation {
   state::ReservationState export_state() const {
     return {available_, busy_};
   }
-  void import_state(const state::ReservationState& s) {
-    available_ = s.available;
-    busy_ = s.busy;
-  }
 
  private:
   Nanos available_ = 0;
@@ -137,16 +133,6 @@ class ChannelPool {
     s.last_queue_ns = final_queue_ns_;
     s.last_transfer_at = final_at_;
     return s;
-  }
-  void import_state(const state::PoolState& s) {
-    CAPMEM_CHECK_MSG(s.channels.size() == channels_.size(),
-                     "channel-pool snapshot size mismatch");
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      channels_[i].import_state(s.channels[i]);
-    }
-    degraded_transfers_ = s.degraded_transfers;
-    final_queue_ns_ = s.last_queue_ns;
-    final_at_ = s.last_transfer_at;
   }
 
  private:

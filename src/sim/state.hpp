@@ -1,21 +1,19 @@
 // Plain-data snapshots of the simulator's observable state.
 //
 // Every stateful component (Engine, MemSystem and its caches/directory/
-// channel pools, AddressSpace) can export its state into the structs below
-// and — for the subset that is restorable — import it back. The structs are
-// deliberately dumb: no pointers, no handles, deterministic ordering
-// (sorted by key wherever the backing container's iteration order is
-// unspecified), so that two processes replaying the same schedule export
+// channel pools, AddressSpace) can export its state into the structs below.
+// The structs are deliberately dumb: no pointers, no handles, deterministic
+// ordering (sorted by key wherever the backing container's iteration order
+// is unspecified), so that two processes replaying the same schedule export
 // byte-identical state and the capmem::snap byte format round-trips stably.
 //
-// What is captured vs. restorable:
-//   * Quiescent machines (engine drained: no live task, empty run queue)
-//     are fully restorable — this is the fork/warm-start fast path. A
-//     coroutine frame cannot be serialized, so a machine paused mid-run
-//     exports its complete observable state (task clocks, run-queue
-//     entries, park table, pooled callbacks) for digesting and differential
-//     verification, but a mid-run restore goes through deterministic
-//     replay-to-cursor plus a byte-compare against the snapshot.
+// What is captured:
+//   * A machine at any pause point exports its complete observable state
+//     (task clocks, run-queue entries, park table, pooled callbacks) for
+//     digesting and differential verification. State is never imported: a
+//     coroutine frame cannot be serialized, so a restore goes through
+//     deterministic replay-to-cursor plus a byte-compare against the
+//     snapshot.
 //   * Observability instruments (trace sinks, metrics histograms, the
 //     attribution ledger) are NOT state: they observe and never steer, and
 //     a restored run rebuilds them from its own events.
@@ -50,7 +48,7 @@ struct ThreadCounters {
 namespace state {
 
 /// One set-associative cache (an L1 or an L2): the two planes plus the LRU
-/// clock. Geometry (sets/ways) is config-derived and checked on import.
+/// clock. Geometry (sets/ways) is config-derived.
 struct CacheState {
   std::uint64_t clock = 0;
   std::uint64_t resident = 0;
@@ -63,8 +61,8 @@ struct CacheState {
 struct DirEntryState {
   std::uint64_t line = 0;
   std::uint64_t l2_mask = 0;
-  /// Cores holding the line in L1. Derived from the L1 tag planes on export
-  /// and checked against them on import; the live directory has no copy.
+  /// Cores holding the line in L1. Derived from the L1 tag planes on export;
+  /// the live directory has no copy.
   std::uint64_t l1_mask = 0;
   std::int32_t owner = -1;
   std::int32_t forward = -1;
@@ -164,8 +162,8 @@ struct SpaceState {
 };
 
 /// The whole machine. `quiescent` records whether the engine was drained
-/// at capture time (no live tasks, empty queue) — the precondition for a
-/// direct install.
+/// at capture time (no live tasks, empty queue). No library code reads it;
+/// it stays so the snapshot bytes and pinned digests keep their value.
 struct MachineState {
   std::uint8_t quiescent = 0;
   EngineState engine;

@@ -9,7 +9,6 @@
 
 #include "common/byte_order.hpp"
 #include "common/fnv.hpp"
-#include "common/rng.hpp"
 #include "fault/plan.hpp"
 #include "sim/machine.hpp"
 
@@ -508,21 +507,6 @@ std::string snapshot_id(const std::vector<std::uint8_t>& bytes) {
 
 sim::state::MachineState capture(const sim::Machine& m) {
   return m.export_state();
-}
-
-std::unique_ptr<sim::Machine> fork(const sim::state::MachineState& s,
-                                   const sim::MachineConfig& cfg,
-                                   std::uint64_t fork_seed) {
-  auto m = std::make_unique<sim::Machine>(cfg);
-  m->install_state(s);
-  if (fork_seed != 0) {
-    // Perturb the engine RNG with a splitmix64 expansion of the fork seed,
-    // so sibling forks draw independent (but per-seed deterministic) noise.
-    std::array<std::uint64_t, 4> w = m->engine().rng().state_words();
-    perturb_stream(w, fork_seed);
-    m->engine().rng().set_state_words(w);
-  }
-  return m;
 }
 
 }  // namespace capmem::snap

@@ -18,16 +18,14 @@
 // rejected instead of misdecoded. All multi-byte fields are little-endian;
 // doubles travel as bit-cast u64, so encode(decode(b)) == b exactly.
 //
-// Restore semantics (see sim/state.hpp): a *quiescent* snapshot (engine
-// drained) installs directly into a fresh Machine — that is fork()'s warm-
-// start fast path. A mid-run snapshot cannot be installed (coroutine frames
-// do not serialize); it is restored by deterministically replaying a fresh
-// machine to the captured step cursor and byte-verifying the replayed state
-// against the snapshot, which the restore-identity test harness does.
+// A snapshot is a verified record of state, never installed into a Machine:
+// coroutine frames do not serialize, so a mid-run state is restored by
+// deterministically replaying a fresh machine to the captured step cursor
+// and byte-verifying the replayed state against the snapshot, which the
+// restore-identity test harness does.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,21 +109,11 @@ std::uint64_t digest(const sim::state::MachineState& s);
 std::uint64_t digest(const sim::Machine& m);
 
 /// Canonical snapshot name: "snap-" + 16 hex digits of the byte hash.
-/// Shared by the warm-start cache files and the fuzz_diff checkpoint
-/// ledger, so there is exactly one cache-key convention.
+/// The differ's reports and the fuzz_diff checkpoint ledger name captures by
+/// it, so there is exactly one naming convention.
 std::string snapshot_id(const std::vector<std::uint8_t>& bytes);
 
-/// Captures a machine's current state (any pause point; the `quiescent`
-/// flag in the result says whether it is directly installable).
+/// Captures a machine's current state (any pause point).
 sim::state::MachineState capture(const sim::Machine& m);
-
-/// Builds a fresh Machine from `cfg`, installs the (quiescent) snapshot,
-/// and perturbs the engine RNG stream with `fork_seed` so sibling forks
-/// draw independent noise. fork_seed 0 keeps the captured stream. Programs
-/// registered on the returned machine start at the snapshot's virtual time
-/// over the snapshot's caches/directory/allocations — a warm start.
-std::unique_ptr<sim::Machine> fork(const sim::state::MachineState& s,
-                                   const sim::MachineConfig& cfg,
-                                   std::uint64_t fork_seed);
 
 }  // namespace capmem::snap

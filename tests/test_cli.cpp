@@ -98,6 +98,21 @@ TEST(Cli, BareValueOptionExitsWithUsage) {
   }
 }
 
+// --jobs must fit an int: a wider value is a usage error, never truncated
+// (4294967298 would otherwise run 2 workers). Parsing fails before any
+// worker could start.
+TEST(Cli, JobsAboveIntMaxExitsWithUsage) {
+  {
+    Cli c = make({"--jobs=2147483647"});
+    EXPECT_EQ(c.get_jobs(), 2147483647);
+    c.finish();
+  }
+  Cli c = make({"--jobs", "4294967298"});
+  EXPECT_EQ(c.get_jobs(), 1);
+  EXPECT_EXIT(c.finish(), ::testing::ExitedWithCode(2),
+              "--jobs 4294967298 exceeds 2147483647.*usage: prog");
+}
+
 TEST(Cli, ValueAfterBareFormWins) {
   Cli c = make({"--out", "--out=a.json"});
   EXPECT_EQ(c.get_string("out", ""), "a.json");

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -362,6 +363,141 @@ TEST(ServeProtocol, ReplyShapes) {
   EXPECT_EQ(error_reply(Json(), ErrorCode::kBadJson, "nope"),
             R"({"id":null,"ok":false,"error":{"code":"bad_json",)"
             R"("message":"nope"}})");
+}
+
+// Seeded mutants of valid request lines: bit flips, truncations, splices of
+// two lines, and JSON-aware swaps of one value (or one array element, or a
+// new unknown key) for a wrong type or an edge-case number. Each mutant
+// either parses to a Request whose canonical body parses back to the same
+// body and cache key, or throws ServeError with one of the three
+// validation codes. Any other exception (or, in the sanitizer build, any
+// UB) fails.
+TEST(ServeProtocol, ParseRequestSurvivesMutatedLines) {
+  const std::vector<std::string> valid = {
+      R"({"id":0,"type":"health"})",
+      R"({"id":1,"type":"fit","xs":[0,1,2,3],"ys":[1,3,5,7]})",
+      R"({"id":"f","type":"fit","xs":[0.5,-1,1e6],"ys":[2,2,-3.25]})",
+      R"({"type":"simulate","id":1,"machine":"tiny_8t","seed":9})",
+      R"({"seed":9,"deadline_ms":5000,"machine":"tiny_8t","id":"two",)"
+      R"("type":"simulate","protocol":"mesif","threads":8,"ops":64})",
+      R"({"id":7,"type":"simulate","machine":"mini_16t","cluster":"SNC4",)"
+      R"("memory":"cache","protocol":"mosi","threads":4,"ops":24,)"
+      R"("seed":7001,"fault_severity":2,"max_steps":5000})",
+      R"({"id":3,"type":"predict","machine":"tiny_8t","protocol":"mesi",)"
+      R"("collective":"reduce","threads":8})",
+      R"({"id":null,"type":"predict","machine":"knl_38t","cluster":"A2A",)"
+      R"("memory":"flat","collective":"allreduce","threads":64,)"
+      R"("schedule":"compact","buffer":"MCDRAM","deadline_ms":250})",
+  };
+  const std::vector<std::string> tokens = {
+      R"("x")", "true", "false", "null", "[]", "[1,2]", "{}", R"({"a":1})",
+      "0", "-0", "1", "-1", "2.5", "-2", "4096", "4097", "100000", "2147483648",
+      "9007199254740993", "18446744073709551615", "18446744073709551616",
+      "1e300", "-1e300", "1e999", "-1e999", "1e-320", R"("")", R"("QUAD")",
+      R"("mesi")", R"("tiny_8t")", R"("simulate")", R"("compact")"};
+  const std::vector<std::string> unknown_keys = {"bogus", "thread", "Seed",
+                                                 ""};
+
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return bound == 0 ? 0 : (state >> 33) % bound;
+  };
+  // The JSON-aware swap: the value goes in as a placeholder string that is
+  // then replaced by the raw token, so tokens a Json double cannot hold
+  // (1e999, 2^64) reach the parser as text.
+  const auto swap_value = [&](const std::string& line) {
+    Json doc;
+    try {
+      doc = Json::parse(line);
+    } catch (const JsonError&) {
+      return line;
+    }
+    if (!doc.is_object()) return line;
+    const std::string placeholder = "@@value@@";
+    const auto& items = doc.items();
+    if (items.empty() || next(4) == 0) {
+      doc.set(unknown_keys[next(unknown_keys.size())], placeholder);
+    } else {
+      auto it = items.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(next(items.size())));
+      const std::string key = it->first;
+      if (it->second.is_array() && !it->second.elements().empty() &&
+          next(2) == 0) {
+        Json arr = Json::array();
+        const std::size_t pick = next(it->second.elements().size());
+        for (std::size_t e = 0; e < it->second.elements().size(); ++e) {
+          arr.push(e == pick ? Json(placeholder) : it->second.elements()[e]);
+        }
+        doc.set(key, std::move(arr));
+      } else {
+        doc.set(key, placeholder);
+      }
+    }
+    std::string text = doc.dump();
+    const std::string quoted = '"' + placeholder + '"';
+    text.replace(text.find(quoted), quoted.size(), tokens[next(tokens.size())]);
+    return text;
+  };
+
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string line = valid[next(valid.size())];
+    const int nmut = 1 + static_cast<int>(next(2));
+    for (int k = 0; k < nmut; ++k) {
+      switch (next(6)) {
+        case 0:  // bit flip
+          if (!line.empty()) {
+            line[next(line.size())] ^= static_cast<char>(1u << next(8));
+          }
+          break;
+        case 1:  // truncation
+          line.resize(next(line.size() + 1));
+          break;
+        case 2: {  // splice: a prefix of this line, a suffix of another
+          const std::string& other = valid[next(valid.size())];
+          line = line.substr(0, next(line.size() + 1)) +
+                 other.substr(next(other.size() + 1));
+          break;
+        }
+        default:  // half of all mutations
+          line = swap_value(line);
+          break;
+      }
+    }
+
+    Request req;
+    try {
+      req = parse_request(line);
+    } catch (const ServeError& e) {
+      const ErrorCode c = e.code();
+      EXPECT_TRUE(c == ErrorCode::kBadJson || c == ErrorCode::kInvalidRequest ||
+                  c == ErrorCode::kBadConfig)
+          << "mutant " << i << " got " << to_string(c) << ": " << line;
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what() << ": "
+                    << line;
+      continue;
+    }
+    ++parsed;
+    const std::string canonical = req.body.dump();
+    try {
+      const Request again = parse_request(canonical);
+      EXPECT_EQ(again.body.dump(), canonical) << "mutant " << i << ": "
+                                              << line;
+      EXPECT_EQ(cache_key(again), cache_key(req))
+          << "mutant " << i << ": " << line;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << "'s canonical body " << canonical
+                    << " does not parse back: " << e.what() << "\n"
+                    << "mutant: " << line;
+    }
+  }
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------------

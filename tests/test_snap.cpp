@@ -1,11 +1,9 @@
 // capmem::snap property tests: byte-stable round-trips over randomized
 // machine states across every preset/protocol/memory mode, structured
 // rejection (SnapError, never UB) of truncated and bit-flipped inputs,
-// version/config-skew messages, fork identity/divergence semantics, and
-// the recovery contract for forked jobs (aborts after restore are
-// retried/quarantined exactly like cold-start jobs, BatchReport
-// byte-identical at any worker count). The whole-run restore-identity
-// sweep lives in test_restore_identity.cpp.
+// version/config-skew messages, and the L1 presence masks a capture
+// derives. The whole-run restore-identity sweep lives in
+// test_restore_identity.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +13,6 @@
 
 #include "check/differ.hpp"
 #include "common/fnv.hpp"
-#include "exec/experiment.hpp"
 #include "sim/machine.hpp"
 #include "snap/snapshot.hpp"
 
@@ -24,7 +21,6 @@ namespace {
 
 using check::WorkloadRun;
 using check::WorkloadSpec;
-using sim::Machine;
 using sim::MachineConfig;
 
 /// A small randomized workload paused mid-schedule: the richest state we
@@ -378,74 +374,9 @@ TEST(SnapConfigHash, TracksIdentityNotObservers) {
   EXPECT_EQ(config_hash(a), config_hash(b));
 }
 
-TEST(SnapFork, SameForkSeedReplaysIdentically) {
-  // Warm a machine to quiescence, fork the same measurement twice with the
-  // same fork seed: bit-identical virtual results.
-  const MachineConfig cfg = sim::machine_preset(
-      "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
-  Machine warmmy(cfg);
-  const sim::Addr buf =
-      warmmy.alloc("warm", 64 * kLineBytes, {}, true);
-  warmmy.add_thread({.core = 0, .smt = 0}, [buf](sim::Ctx& ctx) -> sim::Task {
-    for (int i = 0; i < 32; ++i) {
-      co_await ctx.write_u64(buf + static_cast<std::uint64_t>(i) *
-                                       kLineBytes,
-                             static_cast<std::uint64_t>(i));
-    }
-  });
-  warmmy.run();
-  const sim::state::MachineState s = capture(warmmy);
-  ASSERT_NE(s.quiescent, 0);
-
-  const auto measure = [&](std::uint64_t fork_seed) {
-    std::unique_ptr<Machine> m = fork(s, cfg, fork_seed);
-    const sim::Addr probe = m->alloc("probe", 8 * kLineBytes, {}, true);
-    m->add_thread({.core = 1, .smt = 0},
-                  [probe, buf](sim::Ctx& ctx) -> sim::Task {
-                    for (int i = 0; i < 8; ++i) {
-                      co_await ctx.read_u64(
-                          buf + static_cast<std::uint64_t>(i) *
-                                    kLineBytes);
-                      co_await ctx.write_u64(
-                          probe + static_cast<std::uint64_t>(i) *
-                                      kLineBytes,
-                          1);
-                    }
-                  });
-    m->run();
-    return std::pair<std::uint64_t, Nanos>{m->engine().steps(),
-                                           m->elapsed()};
-  };
-
-  const auto a = measure(5);
-  const auto b = measure(5);
-  EXPECT_EQ(a, b) << "same fork seed must replay bit-identically";
-  const auto c = measure(6);
-  // Different fork seeds draw different noise; virtual time (which embeds
-  // the noise) must differ even though the program is the same.
-  EXPECT_NE(a.second, c.second)
-      << "sibling forks should draw independent noise";
-  // The warm state a fork resumes from carries the warm run's allocations
-  // and data: the measurement read the warm buffer without re-writing it.
-  std::unique_ptr<Machine> m = fork(s, cfg, 0);
-  EXPECT_EQ(m->elapsed(), warmmy.elapsed());
-  EXPECT_EQ(m->space().load<std::uint64_t>(buf + 3 * kLineBytes), 3u);
-}
-
-TEST(SnapFork, MidRunStateRefusesDirectInstall) {
-  WorkloadRun run(small_spec(31, "tiny_8t", sim::Protocol::kMesif,
-                             sim::MemoryMode::kFlat),
-                  nullptr);
-  ASSERT_FALSE(run.run_until(50));  // genuinely paused mid-run
-  const sim::state::MachineState s = capture(run.machine());
-  ASSERT_EQ(s.quiescent, 0);
-  EXPECT_THROW(fork(s, run.machine().config(), 1), CheckError)
-      << "coroutine frames cannot be deserialized; install must refuse";
-}
-
 /// The live directory records no L1 residency: a snapshot's per-line L1
 /// presence mask is derived from the L1 tag arrays, core by core.
-TEST(SnapFork, L1MaskIsDerivedFromTags) {
+TEST(SnapCapture, L1MaskIsDerivedFromTags) {
   WorkloadRun run(small_spec(23, "tiny_8t", sim::Protocol::kMesif,
                              sim::MemoryMode::kFlat),
                   nullptr);
@@ -465,169 +396,6 @@ TEST(SnapFork, L1MaskIsDerivedFromTags) {
     }
   }
   EXPECT_GT(shared, 0) << "no line was ever in two L1s";
-}
-
-/// A state whose L1 holds a line the directory does not list for that core
-/// (a cleared l1_mask bit, no entry at all, or a cleared sharer bit of the
-/// core's tile) must be refused with a structured error; so must presence
-/// bits beyond the machine's cores.
-TEST(SnapFork, InconsistentL1ResidencyIsRefused) {
-  const MachineConfig cfg = sim::machine_preset(
-      "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
-  Machine warm(cfg);
-  const sim::Addr buf = warm.alloc("warm", 16 * kLineBytes, {}, true);
-  warm.add_thread({.core = 0, .smt = 0}, [buf](sim::Ctx& ctx) -> sim::Task {
-    for (int i = 0; i < 8; ++i) {
-      co_await ctx.read_u64(buf + static_cast<std::uint64_t>(i) * kLineBytes);
-    }
-  });
-  warm.run();
-  const sim::state::MachineState s = capture(warm);
-  ASSERT_NE(s.quiescent, 0);
-  EXPECT_NO_THROW(fork(s, cfg, 0));
-
-  std::size_t held = s.mem.directory.size();
-  for (std::size_t i = 0; i < s.mem.directory.size(); ++i) {
-    if (s.mem.directory[i].l1_mask != 0) {
-      held = i;
-      break;
-    }
-  }
-  ASSERT_LT(held, s.mem.directory.size()) << "no L1-resident line captured";
-
-  sim::state::MachineState bit_cleared = s;
-  std::uint64_t& mask = bit_cleared.mem.directory[held].l1_mask;
-  mask &= mask - 1;  // drop the lowest core's presence bit
-  EXPECT_THROW(fork(bit_cleared, cfg, 0), CheckError);
-
-  sim::state::MachineState entry_gone = s;
-  entry_gone.mem.directory.erase(entry_gone.mem.directory.begin() +
-                                 static_cast<std::ptrdiff_t>(held));
-  EXPECT_THROW(fork(entry_gone, cfg, 0), CheckError);
-
-  // Presence bits index the per-core L1 array: a bit naming a core this
-  // machine does not have is refused too.
-  sim::state::MachineState phantom_core = s;
-  phantom_core.mem.directory[held].l1_mask |= 1ull << 63;
-  EXPECT_THROW(fork(phantom_core, cfg, 0), CheckError);
-
-  // The hierarchy is inclusive: an L1 copy in a tile the directory does not
-  // list as a sharer is refused. The entry is otherwise a legal Invalid one
-  // whose stored mask agrees with the sharer set, so only inclusion trips.
-  sim::state::MachineState no_l2_bit = s;
-  sim::state::DirEntryState& d = no_l2_bit.mem.directory[held];
-  d.l2_mask &= ~(1ull << warm.memsys().tile_of_core(0));
-  ASSERT_EQ(d.l2_mask, 0u);
-  d.l1_mask = 0;
-  d.owner = -1;
-  d.forward = -1;
-  d.dirty = 0;
-  EXPECT_THROW(fork(no_l2_bit, cfg, 0), CheckError);
-}
-
-/// Forked jobs under the recovery layer: a job that forks a warmed snapshot
-/// and aborts after restore is retried/quarantined exactly like a cold-start
-/// job, and the BatchReport is byte-identical at any worker count.
-TEST(SnapForkRecovery, AbortAfterRestoreQuarantinesLikeColdStart) {
-  const MachineConfig cfg = sim::machine_preset(
-      "tiny_8t", sim::ClusterMode::kQuadrant, sim::MemoryMode::kFlat);
-  constexpr int kConfigs = 2;
-  constexpr int kTrials = 3;
-  const auto config_of = [&cfg](int which) {
-    MachineConfig c = cfg;
-    c.seed = 100 + static_cast<std::uint64_t>(which);
-    return c;
-  };
-
-  const auto run = [&](int workers) {
-    // One warmed prefix per config, encoded once...
-    const std::vector<std::vector<std::uint8_t>> warmed =
-        exec::parallel_map<std::vector<std::uint8_t>>(
-            kConfigs, workers, [&config_of](int which) {
-              const MachineConfig c = config_of(which);
-              Machine m(c);
-              const sim::Addr buf = m.alloc("w", 16 * kLineBytes, {}, true);
-              m.add_thread({.core = 0, .smt = 0},
-                           [buf](sim::Ctx& ctx) -> sim::Task {
-                             for (int i = 0; i < 16; ++i) {
-                               co_await ctx.write_u64(
-                                   buf + static_cast<std::uint64_t>(i) *
-                                             kLineBytes,
-                                   7);
-                             }
-                           });
-              m.run();
-              return encode(capture(m), c);
-            });
-    // ...then forked inside every (config, trial) job.
-    exec::RetryPolicy rp;
-    rp.sleep = false;
-    auto [steps, rep] = exec::try_parallel_map<std::uint64_t>(
-        kConfigs * kTrials, workers,
-        [&](int job) -> std::uint64_t {
-          const int which = job / kTrials;
-          const int trial = job % kTrials;
-          const MachineConfig c = config_of(which);
-          std::unique_ptr<Machine> m =
-              fork(decode(warmed[static_cast<std::size_t>(which)], c), c,
-                   exec::derive_seed(9, static_cast<std::uint64_t>(which),
-                                     static_cast<std::uint64_t>(trial)) |
-                       1);
-          // Deterministic injected failure in exactly one restored trial:
-          // the recovery layer must classify it deterministic and
-          // quarantine it without retrying, exactly as it would a
-          // cold-start job.
-          CAPMEM_CHECK_MSG(!(which == 1 && trial == 1),
-                           "injected abort after restore");
-          m->add_thread({.core = 0, .smt = 0},
-                        [](sim::Ctx& ctx) -> sim::Task {
-                          co_await ctx.compute(5.0);
-                        });
-          m->run();
-          return m->engine().steps();
-        },
-        rp);
-    // Per-config sums in trial order; a quarantined trial counts 0.
-    std::vector<std::uint64_t> sums(kConfigs, 0);
-    for (int job = 0; job < kConfigs * kTrials; ++job) {
-      sums[static_cast<std::size_t>(job / kTrials)] +=
-          steps[static_cast<std::size_t>(job)];
-    }
-    return std::make_pair(sums, std::move(rep));
-  };
-
-  const auto [r1, rep1] = run(1);
-  const auto [r4, rep4] = run(4);
-
-  EXPECT_EQ(r1, r4) << "results must be bit-identical at any worker count";
-  EXPECT_EQ(rep1.summary(), rep4.summary());
-  EXPECT_EQ(rep1.jobs, 6u);
-  EXPECT_EQ(rep1.ok, 5u);
-  EXPECT_EQ(rep1.quarantined, 1u);
-  EXPECT_EQ(rep1.retried, 0u) << "deterministic aborts must not be retried";
-  ASSERT_EQ(rep1.failures.size(), 1u);
-  // Submission order is (config, trial): config 1, trial 1 is job 4.
-  EXPECT_EQ(rep1.failures[0].job, 4u);
-  EXPECT_EQ(rep1.failures[0].status, exec::JobStatus::kQuarantined);
-
-  // The cold-start control: the same failure thrown from a plain
-  // run_jobs_recover batch must produce the same classification, attempt
-  // count and summary line shape.
-  std::vector<std::function<void()>> cold;
-  for (int j = 0; j < 6; ++j) {
-    cold.push_back([j] {
-      CAPMEM_CHECK_MSG(j != 4, "injected abort after restore");
-    });
-  }
-  exec::RetryPolicy rp;
-  rp.sleep = false;
-  const exec::BatchReport cold_rep =
-      exec::run_jobs_recover(std::move(cold), 2, rp);
-  ASSERT_EQ(cold_rep.failures.size(), 1u);
-  EXPECT_EQ(cold_rep.failures[0].job, rep1.failures[0].job);
-  EXPECT_EQ(cold_rep.failures[0].status, rep1.failures[0].status);
-  EXPECT_EQ(cold_rep.failures[0].attempts, rep1.failures[0].attempts);
-  EXPECT_EQ(cold_rep.quarantined, rep1.quarantined);
 }
 
 }  // namespace
