@@ -272,6 +272,23 @@ void BM_Sort16(benchmark::State& state) {
 }
 BENCHMARK(BM_Sort16);
 
+// Machine construction: the L1 tag and LRU planes are zeroed, the L2
+// planes (1 MB 16-way per tile) only allocated, since they are lazily
+// valid. tiny_8t is what a serve `simulate` cold miss builds; knl_38t is
+// the paper's machine, every binary's first Machine.
+void BM_MachineBuild(benchmark::State& state, const char* preset) {
+  const MachineConfig cfg = machine_preset(preset);
+  for (auto _ : state) {
+    Machine m(cfg);
+    benchmark::DoNotOptimize(&m);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MachineBuild, tiny_8t, "tiny_8t")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MachineBuild, knl_38t, "knl_38t")
+    ->Unit(benchmark::kMicrosecond);
+
 // Snapshot layer: a serve-sized simulate request (tiny_8t, 6 threads x 40
 // ops) paused mid-run. Its ~2.2 MB payload is mostly the empty ways of the
 // L1/L2 tag and stamp planes, i.e. zeros.

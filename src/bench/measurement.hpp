@@ -21,7 +21,6 @@ namespace capmem::bench {
 class SampleVec {
  public:
   void add(double v) { v_.push_back(v); }
-  void clear() { v_.clear(); }
   std::size_t size() const { return v_.size(); }
   const std::vector<double>& values() const { return v_; }
   Summary summary() const { return summarize(v_); }

@@ -61,8 +61,6 @@ void Checker::on_flush(sim::Line line) { oracle_.on_flush(line); }
 
 void Checker::on_drop(sim::Line line) { oracle_.on_drop(line); }
 
-void Checker::on_reset() { oracle_.on_reset(); }
-
 void Checker::final_sweep(const sim::MemSystem& mem) {
   std::vector<Violation> v;
   invariants_.sweep(mem, v);

@@ -54,7 +54,6 @@ class Checker final : public sim::Observer {
                      Nanos start, Nanos service) override;
   void on_flush(sim::Line line) override;
   void on_drop(sim::Line line) override;
-  void on_reset() override;
 
   /// Optional sink: every recorded violation additionally emits a
   /// kCheckViolation instant, so divergences land inside Chrome traces

@@ -46,9 +46,6 @@ class Oracle {
   void on_drop(sim::Line line) { versions_.erase(line); }
   void on_flush(sim::Line line) { versions_.erase(line); }
 
-  /// Whole-machine reset (directory cleared wholesale).
-  void on_reset() { versions_.clear(); }
-
   /// Writer info for `line`, or nullptr when it was never written.
   const WriterInfo* writer(sim::Line line) const;
 

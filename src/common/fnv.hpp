@@ -48,6 +48,10 @@ class Fnv1a {
     for (; i < n; ++i) word(b[i], 1);
   }
 
+  /// Streams `n` zero bytes without touching them: they join the pending
+  /// run, so the cost is independent of `n`.
+  void zeros(std::uint64_t n) { zeros_ += n; }
+
   /// The hash of everything streamed so far (pending zeros included).
   std::uint64_t value() const { return h_ * prime_pow(zeros_); }
 

@@ -127,13 +127,6 @@ bool Registry::empty() const {
   return counters_.empty() && gauges_.empty() && hists_.empty();
 }
 
-void Registry::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  counters_.clear();
-  gauges_.clear();
-  hists_.clear();
-}
-
 void Registry::dump_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lk(mu_);
   std::string s;

@@ -62,7 +62,6 @@ class Registry {
   Log2Hist hist(const std::string& name) const;
 
   bool empty() const;
-  void clear();
 
   /// Deterministic JSON dump (schema documented in DESIGN.md §Observability).
   void dump_json(std::ostream& os) const;

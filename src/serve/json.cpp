@@ -1,6 +1,7 @@
 #include "serve/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -143,17 +144,20 @@ struct Parser {
     if (eat('-')) {
     }
     bool digits = false;
+    bool integer = true;
     while (p < end && std::isdigit(static_cast<unsigned char>(*p))) {
       ++p;
       digits = true;
     }
     if (eat('.')) {
+      integer = false;
       while (p < end && std::isdigit(static_cast<unsigned char>(*p))) {
         ++p;
         digits = true;
       }
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
+      integer = false;
       ++p;
       if (p < end && (*p == '+' || *p == '-')) ++p;
       bool exp_digits = false;
@@ -164,6 +168,17 @@ struct Parser {
       if (!exp_digits) fail("bad exponent");
     }
     if (!digits) fail("unexpected token");
+    // An integer lexeme keeps its exact value when it fits 64 bits; one
+    // that overflows is read as a double, like any other number.
+    if (integer) {
+      if (*start == '-') {
+        std::int64_t v = 0;
+        if (std::from_chars(start, p, v).ec == std::errc()) return Json(v);
+      } else {
+        std::uint64_t v = 0;
+        if (std::from_chars(start, p, v).ec == std::errc()) return Json(v);
+      }
+    }
     const std::string tok(start, p);
     return Json(std::strtod(tok.c_str(), nullptr));
   }
@@ -248,7 +263,15 @@ void Json::dump_to(std::string* out) const {
   switch (type_) {
     case Type::kNull: *out += "null"; return;
     case Type::kBool: *out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: dump_number(num_, out); return;
+    case Type::kNumber:
+      if (int_ == Int::kUnsigned) {
+        *out += std::to_string(bits_);
+      } else if (int_ == Int::kSigned) {
+        *out += std::to_string(static_cast<std::int64_t>(bits_));
+      } else {
+        dump_number(num_, out);
+      }
+      return;
     case Type::kString: dump_string(str_, out); return;
     case Type::kObject: {
       out->push_back('{');
@@ -288,7 +311,12 @@ bool Json::operator==(const Json& o) const {
   switch (type_) {
     case Type::kNull: return true;
     case Type::kBool: return bool_ == o.bool_;
-    case Type::kNumber: return num_ == o.num_;
+    case Type::kNumber:
+      // Two exact integers compare exactly; otherwise as doubles.
+      if (int_ != Int::kNone && o.int_ != Int::kNone) {
+        return int_ == o.int_ && bits_ == o.bits_;
+      }
+      return num_ == o.num_;
     case Type::kString: return str_ == o.str_;
     case Type::kObject: return obj_ == o.obj_;
     case Type::kArray: return arr_ == o.arr_;

@@ -14,13 +14,16 @@
 //     cold-vs-warm byte-identity checks are built on.
 //
 // Not a general-purpose library on purpose: no \u surrogate pairs beyond
-// the BMP, numbers are doubles (requests carry small integers and floats),
-// and documents nest at most kMaxDepth deep (a hostile request cannot
-// stack-overflow the daemon).
+// the BMP, and documents nest at most kMaxDepth deep (a hostile request
+// cannot stack-overflow the daemon). A number is a double, except that an
+// integer lexeme (no fraction, no exponent) that fits a signed or unsigned
+// 64-bit integer keeps its exact value and dumps without loss: a `seed`
+// above 2^53 must not share a cache key with its nearest double.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,9 +47,17 @@ class Json {
   Json(std::nullptr_t) {}  // NOLINT: implicit, mirrors JSON literals
   Json(bool b) : type_(Type::kBool), bool_(b) {}
   Json(double v) : type_(Type::kNumber), num_(v) {}
-  Json(int v) : type_(Type::kNumber), num_(v) {}
-  Json(std::int64_t v) : type_(Type::kNumber), num_(static_cast<double>(v)) {}
-  Json(std::uint64_t v) : type_(Type::kNumber), num_(static_cast<double>(v)) {}
+  Json(int v) : Json(static_cast<std::int64_t>(v)) {}
+  Json(std::int64_t v)
+      : type_(Type::kNumber),
+        int_(v < 0 ? Int::kSigned : Int::kUnsigned),
+        bits_(static_cast<std::uint64_t>(v)),
+        num_(static_cast<double>(v)) {}
+  Json(std::uint64_t v)
+      : type_(Type::kNumber),
+        int_(Int::kUnsigned),
+        bits_(v),
+        num_(static_cast<double>(v)) {}
   Json(const char* s) : type_(Type::kString), str_(s) {}
   Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}
 
@@ -73,9 +84,16 @@ class Json {
     CAPMEM_CHECK(is_bool());
     return bool_;
   }
+  /// The number as a double (an exact integer rounds to the nearest).
   double as_number() const {
     CAPMEM_CHECK(is_number());
     return num_;
+  }
+  /// The exact value of a non-negative integer (an integer lexeme or an
+  /// integer constructor argument); nullopt for any other value.
+  std::optional<std::uint64_t> as_u64() const {
+    if (int_ != Int::kUnsigned) return std::nullopt;
+    return bits_;
   }
   const std::string& as_string() const {
     CAPMEM_CHECK(is_string());
@@ -102,7 +120,8 @@ class Json {
   static Json parse(const std::string& text);
 
   /// Deterministic single-line serialization (sorted object keys, fixed
-  /// number formatting: integers without exponent, others via %.17g).
+  /// number formatting: exact integers as their digits, integral doubles
+  /// below 2^53 without exponent, others via %.17g).
   std::string dump() const;
 
   bool operator==(const Json& o) const;
@@ -110,9 +129,15 @@ class Json {
  private:
   void dump_to(std::string* out) const;
 
+  /// How a number holds an exact integer: not at all (kNone, a double),
+  /// negative (kSigned) or non-negative (kUnsigned), its bits in bits_.
+  enum class Int : std::uint8_t { kNone, kSigned, kUnsigned };
+
   Type type_ = Type::kNull;
   bool bool_ = false;
-  double num_ = 0;
+  Int int_ = Int::kNone;
+  std::uint64_t bits_ = 0;
+  double num_ = 0;  ///< the value; for an exact integer, its nearest double
   std::string str_;
   std::map<std::string, Json> obj_;
   std::vector<Json> arr_;

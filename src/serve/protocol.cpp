@@ -80,7 +80,12 @@ int get_int(const Json& obj, const std::string& key, int fallback, int lo,
 
 std::uint64_t get_u64(const Json& obj, const std::string& key,
                       std::uint64_t fallback) {
-  // The largest double below 2^64: converting 2^64 itself is undefined.
+  // An integer literal in [0, 2^64) reads exactly. Any other number takes
+  // the double path: it must be integral, and at most the largest double
+  // below 2^64, since converting 2^64 itself is undefined.
+  if (const Json* v = obj.find(key)) {
+    if (const auto exact = v->as_u64()) return *exact;
+  }
   const double d = get_number(obj, key, static_cast<double>(fallback), 0,
                               18446744073709549568.0);
   if (d != std::floor(d)) invalid("field '" + key + "' must be an integer");

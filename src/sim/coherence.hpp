@@ -138,11 +138,6 @@ class Directory {
 
   std::size_t tracked_lines() const { return map_.size(); }
 
-  void clear() {
-    map_.clear();
-    last_entry_ = nullptr;
-  }
-
   /// Checkpoint support (capmem::snap). Entries export sorted by line (page
   /// iteration order depends on insert history); the memoized physical
   /// target is derived data and not exported.

@@ -189,7 +189,6 @@ class FanoutImpl final : public Fanout {
 
   void on_flush(Line line) override { check_->on_flush(line); }
   void on_drop(Line line) override { check_->on_drop(line); }
-  void on_reset() override { check_->on_reset(); }
 
   // ---------------------------------------------------------- end of run
 

@@ -16,9 +16,8 @@
 //     and references stay valid while their line is live;
 //   * insert sets the line's live bit and resets its slot; erase clears the
 //     bit. A page whose last line drops leaves the index and goes back to a
-//     free list, so the pool plateaus at the peak live page count; clear()
-//     keeps every page for reuse. Dead slots keep their last value until
-//     reused.
+//     free list, so the pool plateaus at the peak live page count. Dead
+//     slots keep their last value until reused.
 #pragma once
 
 #include <cstddef>
@@ -127,18 +126,6 @@ class LinePages {
       memo_page_ = kNoPage;
     }
     return true;
-  }
-
-  /// Empties the table; every page is kept for reuse.
-  void clear() {
-    free_.clear();
-    for (std::size_t s = pages_.size(); s-- > 0;) {
-      pages_[s]->live = 0;
-      free_.push_back(static_cast<Handle>(s));
-    }
-    index_.clear();
-    memo_page_ = kNoPage;
-    size_ = 0;
   }
 
   /// Visits every live (key, value), in line order within a page; pages in

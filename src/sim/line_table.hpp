@@ -112,15 +112,6 @@ class LineTable {
     return false;
   }
 
-  /// Empties the table; the slot array and pool chunks are kept for reuse.
-  void clear() {
-    for (std::size_t i = 0; i < capacity_; ++i) slots_[i].idx = kNoHandle;
-    destroy_values();
-    pool_size_ = 0;
-    free_.clear();
-    size_ = 0;
-  }
-
   /// Visits every (key, value). Order unspecified.
   template <typename Fn>
   void for_each(Fn&& fn) const {

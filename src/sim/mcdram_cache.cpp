@@ -33,6 +33,5 @@ void McdramCache::erase(Line line) {
   if (tag != nullptr && *tag == line) tags_.erase(set_of(line));
 }
 
-void McdramCache::clear() { tags_.clear(); }
 
 }  // namespace capmem::sim

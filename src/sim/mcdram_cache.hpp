@@ -49,7 +49,6 @@ class McdramCache {
 
   /// Invalidate (benchmark flush support).
   void erase(Line line);
-  void clear();
 
   std::uint64_t resident_lines() const { return tags_.size(); }
 

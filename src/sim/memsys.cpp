@@ -84,10 +84,15 @@ MemSystem::MemSystem(const MachineConfig& cfg, const Topology& topo, Rng& rng,
                   cfg.bw.mcdram_channel_gbps) {
   protocol_ = cfg.protocol;
   dir_.set_rules(rules_of(cfg.protocol));
+  // The L1 planes are zeroed eagerly: they are small, and the L1-hit path
+  // pays no touched-set test. The L2 planes are lazily valid, so building a
+  // machine does not write (or fault in) their capacity (sim/cache.hpp).
+  l1_.reserve(static_cast<std::size_t>(cfg.cores()));
   for (int c = 0; c < cfg.cores(); ++c)
-    l1_.emplace_back(cfg.l1_bytes, cfg.l1_ways);
+    l1_.emplace_back(cfg.l1_bytes, cfg.l1_ways, SetAssocCache::Planes::kEager);
+  l2_.reserve(static_cast<std::size_t>(cfg.active_tiles));
   for (int t = 0; t < cfg.active_tiles; ++t)
-    l2_.emplace_back(cfg.l2_bytes, cfg.l2_ways);
+    l2_.emplace_back(cfg.l2_bytes, cfg.l2_ways, SetAssocCache::Planes::kLazy);
   core_ports_.resize(static_cast<std::size_t>(cfg.cores()));
   l2_supply_.resize(static_cast<std::size_t>(cfg.active_tiles));
   counters_.resize(static_cast<std::size_t>(cfg.hw_threads()));
@@ -870,22 +875,6 @@ void MemSystem::flush_line(Line line, bool drop_mcdram_cache) {
     if (obs_ != nullptr) obs_->on_flush(line);
   }
   if (drop_mcdram_cache) mc_cache_.erase(line);
-}
-
-void MemSystem::reset() {
-  for (auto& c : l1_) c.clear();
-  for (auto& c : l2_) c.clear();
-  mc_cache_.clear();
-  dram_.reset();
-  mcdram_.reset();
-  for (auto& p : core_ports_) p.reset();
-  for (auto& p : l2_supply_) p.reset();
-  dir_.clear();
-  if (obs_ != nullptr) obs_->on_reset();
-}
-
-void MemSystem::clear_counters() {
-  for (auto& c : counters_) c = ThreadCounters{};
 }
 
 double MemSystem::dram_busy_ns() const {

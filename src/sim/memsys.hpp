@@ -96,9 +96,6 @@ class MemSystem {
   /// to reset cache state between benchmark iterations.
   void flush_line(Line line, bool drop_mcdram_cache = true);
 
-  /// Untimed reset of all caches/directory/resources (between experiments).
-  void reset();
-
   /// Checkpoint support (capmem::snap): the complete virtual-time-relevant
   /// state (directory, caches, MCDRAM cache, channel/port reservations,
   /// per-thread counters, fault counters). With `with_cache_planes` false
@@ -107,7 +104,6 @@ class MemSystem {
   state::MemSysState export_state(bool with_cache_planes = true) const;
 
   const ThreadCounters& counters(int tid) const { return counters_.at(tid); }
-  void clear_counters();
 
   const Directory& directory() const { return dir_; }
   TileState state_in_tile(Line line, int tile) const {

@@ -100,11 +100,9 @@ class Observer {
   virtual void on_link_retry(int /*tid*/, int /*retries*/, Nanos /*t*/) {}
   virtual void on_stuck_dir(int /*tid*/, Line /*line*/, Nanos /*t*/) {}
   /// Untimed maintenance: a harness flush of `line`; a directory entry
-  /// dropped (globally invalid, its version restarts at 0); a whole-machine
-  /// reset between experiments.
+  /// dropped (globally invalid, its version restarts at 0).
   virtual void on_flush(Line /*line*/) {}
   virtual void on_drop(Line /*line*/) {}
-  virtual void on_reset() {}
 };
 
 }  // namespace capmem::sim

@@ -36,11 +36,6 @@ class Reservation {
   /// Total busy time, for utilization accounting.
   Nanos busy() const { return busy_; }
 
-  void reset() {
-    available_ = 0;
-    busy_ = 0;
-  }
-
   /// Checkpoint support (capmem::snap).
   state::ReservationState export_state() const {
     return {available_, busy_};
@@ -93,7 +88,7 @@ class ChannelPool {
     CAPMEM_CHECK(factors.empty() || factors.size() == channels_.size());
     degrade_ = std::move(factors);
   }
-  /// Transfers that hit a flaky channel since construction/reset.
+  /// Transfers that hit a flaky channel since construction.
   std::uint64_t degraded_transfers() const { return degraded_transfers_; }
 
   int size() const { return static_cast<int>(channels_.size()); }
@@ -116,12 +111,6 @@ class ChannelPool {
   /// CAPSNAP1 snapshot bytes: changing it would change every snapshot id.
   Nanos final_transfer_at() const { return final_at_; }
   Nanos final_queue_ns() const { return final_queue_ns_; }
-  void reset() {
-    for (auto& c : channels_) c.reset();
-    final_queue_ns_ = 0;
-    final_at_ = -1;
-    degraded_transfers_ = 0;
-  }
 
   /// Checkpoint support (capmem::snap). Rate/lead/fault factors are
   /// config-derived and not part of the state.

@@ -122,9 +122,6 @@ concept Is = std::same_as<std::remove_const_t<S>, T>;
 
 template <Is<CacheState> S>
 auto fields(S& c) { return std::tie(c.clock, c.resident, c.lines, c.stamps); }
-// A live cache holds its state as one CacheState: read in place.
-template <Is<sim::SetAssocCache> S>
-auto fields(S& c) { return fields(c.state()); }
 template <Is<ReservationState> S>
 auto fields(S& r) { return std::tie(r.available, r.busy); }
 template <Is<PoolState> S>
@@ -239,6 +236,23 @@ class Out {
       }
     } else if constexpr (Array<T>) {
       for (const auto& e : v) (*this)(e);
+    } else if constexpr (std::same_as<T, sim::SetAssocCache>) {
+      // A live cache streams as the CacheState it exports (clock, resident,
+      // both planes), read in place: the never-touched sets, which hold
+      // zeros, are folded as zero runs without being read.
+      s_.u64(v.clock());
+      s_.u64(v.resident_lines());
+      for (const auto plane : {sim::SetAssocCache::Plane::kTags,
+                               sim::SetAssocCache::Plane::kStamps}) {
+        s_.u64(v.plane_words());
+        v.for_each_run(plane, [this](const std::uint64_t* p, std::size_t n) {
+          if (p != nullptr) {
+            s_.raw(p, n * sizeof(std::uint64_t));
+          } else {
+            s_.zeros(n * sizeof(std::uint64_t));
+          }
+        });
+      }
     } else {
       std::apply([this](const auto&... f) { ((*this)(f), ...); }, fields(v));
     }

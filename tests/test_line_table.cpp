@@ -99,16 +99,6 @@ TEST(LineTable, ForEachVisitsAll) {
   EXPECT_EQ(key_sum, 145u);
 }
 
-TEST(LineTable, ClearEmpties) {
-  LineTable<int> t;
-  for (std::uint64_t k = 0; k < 100; ++k) t.get_or_create(k);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.find(5), nullptr);
-  t.get_or_create(5) = 3;  // usable after clear
-  EXPECT_EQ(*t.find(5), 3);
-}
-
 TEST(LineTable, GrowsPastInitialCapacity) {
   LineTable<LineEntry> t;
   for (std::uint64_t k = 0; k < 100000; ++k) t.get_or_create(k);
@@ -124,7 +114,6 @@ TEST(LineTable, EmptyTableAnswersWithoutStorage) {
   std::size_t visited = 0;
   t.for_each([&](std::uint64_t, const LineEntry&) { ++visited; });
   EXPECT_EQ(visited, 0u);
-  t.clear();
   t.get_or_create(3).version = 9;
   EXPECT_EQ(t.find(3)->version, 9u);
 }
@@ -203,14 +192,6 @@ TEST(LineTable, PoolSlotsPlateauUnderChurn) {
   EXPECT_LE(plateau, kWindow + 1);
   EXPECT_EQ(t.pool_slots(), plateau);
   EXPECT_EQ(t.size(), kWindow);
-}
-
-TEST(LineTable, ClearDestroysAndReusesPool) {
-  LineTable<std::vector<int>> t;
-  for (std::uint64_t k = 0; k < 100; ++k) t.get_or_create(k).assign(8, 1);
-  t.clear();
-  EXPECT_EQ(t.pool_slots(), 0u);
-  EXPECT_TRUE(t.get_or_create(7).empty());  // fresh value, not a leftover
 }
 
 // ------------------------------------------------------------- LinePages
@@ -402,23 +383,6 @@ TEST(LinePages, ResolveRejectsHandlesOutsidePoolAndDeadSlots) {
   EXPECT_EQ(t.resolve(Pages::kNoHandle), nullptr);
   t.erase(130);
   EXPECT_EQ(t.resolve(h), nullptr);
-}
-
-TEST(LinePages, ClearKeepsPagesForReuse) {
-  Pages t;
-  for (std::uint64_t k = 0; k < 64 * 10; ++k) t.get_or_create(k).version = 7;
-  EXPECT_EQ(t.pool_pages(), 10u);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.live_pages(), 0u);
-  EXPECT_EQ(t.find(5), nullptr);
-  std::size_t visited = 0;
-  t.for_each([&](std::uint64_t, const LineEntry&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-  for (std::uint64_t k = 64 * 100; k < 64 * 110; ++k) {
-    EXPECT_EQ(t.get_or_create(k).version, 0u);  // fresh, not a leftover
-  }
-  EXPECT_EQ(t.pool_pages(), 10u);
 }
 
 }  // namespace

